@@ -1,6 +1,8 @@
 /// \file micro_simd.cpp
-/// \brief google-benchmark microbenches for the four vectorized hot loops,
-/// each at {double, float} × {scalar, simd}.
+/// \brief google-benchmark microbenches for the three vectorized gate loops,
+/// each at {double, float} × {scalar, simd}.  The Chebyshev operator, which
+/// vectorizes across blocks instead, is timed by BM_SparseExpBatch in
+/// micro_sparse_oracle.cpp.
 ///
 /// The kernels take the dispatch level as an argument, so the scalar and
 /// vector variants of one loop run in one process on identical data — the
@@ -110,41 +112,5 @@ void BM_BlockMatvec(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockMatvec<double>)->Arg(0)->Arg(1);
 BENCHMARK(BM_BlockMatvec<float>)->Arg(0)->Arg(1);
-
-// ---------------------------------------------------------------------------
-// CSR matvec (Chebyshev oracle inner loop): path-graph Laplacian rows.
-// ---------------------------------------------------------------------------
-
-template <typename R>
-void BM_CsrMatvec(benchmark::State& state) {
-  const SimdLevel level = level_for(state.range(0));
-  const std::size_t rows = 1ULL << 14;
-  std::vector<std::size_t> offsets(rows + 1);
-  std::vector<std::size_t> cols;
-  std::vector<R> vals;
-  Rng rng(29);
-  for (std::size_t r = 0; r < rows; ++r) {
-    offsets[r] = cols.size();
-    // ~16 nonzeros per row, clustered near the diagonal (simplicial
-    // Laplacians are banded-ish).
-    for (std::size_t k = 0; k < 16; ++k) {
-      cols.push_back((r + 3 * k) % rows);
-      vals.push_back(static_cast<R>(rng.uniform() - 0.5));
-    }
-  }
-  offsets[rows] = cols.size();
-  const auto x = random_amps<R>(rows, 31);
-  std::vector<std::complex<R>> y(rows);
-  for (auto _ : state) {
-    simd::csr_matvec_rows(level, offsets.data(), cols.data(), vals.data(),
-                          x.data(), y.data(), 0, rows);
-    benchmark::DoNotOptimize(y.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(cols.size()));
-}
-BENCHMARK(BM_CsrMatvec<double>)->Arg(0)->Arg(1);
-BENCHMARK(BM_CsrMatvec<float>)->Arg(0)->Arg(1);
 
 }  // namespace

@@ -14,10 +14,17 @@
 ///            kCircuitSparse path.  Nothing 2^q×2^q is ever allocated, so
 ///            it keeps scaling (q = 12 here) after the dense oracle has
 ///            left the building.
+///
+/// BM_SparseExpBatch times the operator alone: one apply_batch over `count`
+/// d-dimensional blocks, the call every engine makes per controlled power.
+/// The shapes are the paper's: d ∈ {4, 8} with 16–128 blocks for Table 1's
+/// small registers, d = 128 with 512 blocks for a Takens window.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <complex>
 #include <memory>
+#include <vector>
 
 #include "common/random.hpp"
 #include "core/padding.hpp"
@@ -119,6 +126,56 @@ void BM_SparseOracleControlledPower(benchmark::State& state) {
       static_cast<double>(fixture.sparse.matrix.nonzeros());
 }
 
+void BM_SparseExpBatch(benchmark::State& state) {
+  const auto d_qubits = static_cast<std::size_t>(state.range(0));
+  const auto count = static_cast<std::size_t>(state.range(1));
+  const auto power = static_cast<double>(state.range(2));
+  const SparseScaledHamiltonian h = rescale_laplacian_sparse(
+      pad_laplacian_sparse(sample_sparse_laplacian(d_qubits)), 6.0);
+  const SparseExpOperator op(h.matrix, power, h.spectrum_min(),
+                             h.spectrum_max());
+  const std::size_t d = op.dimension();
+
+  // A unit-norm state over the whole batch: the operator is unitary per
+  // block, so the output must keep norm 1.
+  Rng rng(d * 7919 + count);
+  std::vector<std::complex<double>> x(d * count), y(d * count);
+  double norm = 0.0;
+  for (auto& v : x) {
+    v = {rng.uniform() * 2.0 - 1.0, rng.uniform() * 2.0 - 1.0};
+    norm += std::norm(v);
+  }
+  for (auto& v : x) v /= std::sqrt(norm);
+
+  for (auto _ : state) {
+    op.apply_batch(x.data(), y.data(), count);
+    benchmark::DoNotOptimize(y.data());
+  }
+
+  // Valid data only: every output amplitude finite and normal (or zero),
+  // and the batch still a unit vector.
+  double out_norm = 0.0;
+  for (const auto& v : y) {
+    for (const double part : {v.real(), v.imag()}) {
+      if (!std::isfinite(part) ||
+          (part != 0.0 && std::fpclassify(part) != FP_NORMAL)) {
+        state.SkipWithError("operator output is not finite and normal");
+        return;
+      }
+    }
+    out_norm += std::norm(v);
+  }
+  if (std::abs(out_norm - 1.0) > 1e-9) {
+    state.SkipWithError("operator output lost unit norm");
+    return;
+  }
+  state.counters["d"] = static_cast<double>(d);
+  state.counters["nnz"] = static_cast<double>(h.matrix.nonzeros());
+  state.counters["terms"] = static_cast<double>(op.num_terms());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(d * count));
+}
+
 }  // namespace
 
 // Dense stops at q = 9: the eigendecomposition alone is already ~minutes
@@ -129,3 +186,8 @@ BENCHMARK(BM_DenseOracleAmortized)->DenseRange(8, 9)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SparseOracleControlledPower)->DenseRange(8, 12, 2)
     ->Unit(benchmark::kMillisecond);
+// Args: log2 d, block count, QPE power.
+BENCHMARK(BM_SparseExpBatch)
+    ->ArgsProduct({{2, 3}, {16, 128}, {1, 16}})
+    ->Args({7, 512, 4})
+    ->Unit(benchmark::kMicrosecond);

@@ -8,13 +8,17 @@
 ///
 /// With no --points, sends a demo request for the unit circle (8 points,
 /// β₁ = 1).  Prints the raw response line — scripts can parse the key=value
-/// pairs directly.
+/// pairs directly.  Exits 1 with a one-line error when no daemon listens on
+/// the socket.
 #include <cmath>
 #include <cstdio>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/cli.hpp"
+#include "common/error.hpp"
 #include "serve/client.hpp"
 #include "serve/transport.hpp"
 
@@ -42,7 +46,15 @@ std::vector<std::vector<double>> demo_circle() {
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const std::string path = args.get_string("socket", "/tmp/qtda_serve.sock");
-  ServeClient client(connect_unix(path));
+  std::shared_ptr<Connection> connection;
+  try {
+    connection = connect_unix(path);
+  } catch (const Error&) {
+    std::fprintf(stderr, "serve_client: no daemon listening on %s\n",
+                 path.c_str());
+    return 1;
+  }
+  ServeClient client(std::move(connection));
 
   if (args.get_bool("stats")) {
     std::printf("%s\n", client.stats().c_str());

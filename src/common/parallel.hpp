@@ -1,12 +1,11 @@
 /// \file parallel.hpp
 /// \brief Shared-memory parallel primitives used by the hot kernels.
 ///
-/// The state-vector simulator and the experiment sweeps are embarrassingly
-/// parallel; this header provides a cached thread pool with a blocking
-/// parallel_for and a parallel reduction.  When OpenMP is available the
-/// simulator kernels additionally use `#pragma omp` directly; the pool is the
-/// portable fallback and the mechanism for task-level parallelism (e.g. one
-/// random complex per worker in the Fig. 3 sweep).
+/// One process-wide thread pool with a blocking parallel_for and parallel
+/// reductions.  It is the only parallel mechanism in the library: the
+/// sharded engine's slab gates, the state-vector reductions, the Chebyshev
+/// operator's tiles and row splits, and task-level sweeps (e.g. one random
+/// complex per worker in the Fig. 3 sweep) all run on it.
 #pragma once
 
 #include <algorithm>

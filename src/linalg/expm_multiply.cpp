@@ -1,14 +1,16 @@
 #include "linalg/expm_multiply.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <list>
 #include <map>
 #include <tuple>
 
+#include "common/cpu_features.hpp"
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "common/thread_annotations.hpp"
-#include "quantum/simd_kernels.hpp"
 
 namespace qtda {
 
@@ -202,39 +204,269 @@ SparseExpOperator::SparseExpOperator(std::shared_ptr<const SparseMatrix> a,
                                           theta_ * center_, options.tolerance);
 }
 
-void SparseExpOperator::apply_serial(
-    const std::complex<double>* x, std::complex<double>* y,
-    std::vector<std::complex<double>>& t_prev,
-    std::vector<std::complex<double>>& t_cur,
-    std::vector<std::complex<double>>& scratch, bool parallel_matvec) const {
-  const std::size_t n = a_->rows();
-  const std::vector<std::complex<double>>& coefficients = *coefficients_;
-  const std::complex<double> a0 = coefficients[0];
-  for (std::size_t i = 0; i < n; ++i) y[i] = a0 * x[i];
-  if (coefficients.size() == 1) return;
+namespace {
 
-  const double inv_h = 1.0 / half_width_;  // ≥ 2 terms ⇒ z ≠ 0 ⇒ h > 0
-  // T_0·x = x, T_1·x = B·x with B = (A − c·I)/h.
-  t_prev.assign(x, x + n);
-  a_->multiply(x, t_cur.data(), parallel_matvec);
-  for (std::size_t i = 0; i < n; ++i)
-    t_cur[i] = (t_cur[i] - center_ * x[i]) * inv_h;
-  const std::complex<double> a1 = coefficients[1];
-  for (std::size_t i = 0; i < n; ++i) y[i] += a1 * t_cur[i];
+// The lane bodies are inlined into one wrapper per vector width, each
+// compiled for its own target.
+#define QTDA_CHEBYSHEV_INLINE inline __attribute__((always_inline))
+#if defined(__x86_64__) || defined(__i386__)
+#define QTDA_CHEBYSHEV_AVX2 1
+#else
+#define QTDA_CHEBYSHEV_AVX2 0
+#endif
 
-  for (std::size_t k = 2; k < coefficients.size(); ++k) {
-    // T_{k} = 2B·T_{k−1} − T_{k−2}, overwriting the oldest buffer.
-    a_->multiply(t_cur.data(), scratch.data(), parallel_matvec);
-    const std::complex<double> ak = coefficients[k];
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::complex<double> next =
-          2.0 * (scratch[i] - center_ * t_cur[i]) * inv_h - t_prev[i];
-      t_prev[i] = next;
-      y[i] += ak * next;
+/// Amplitudes per tile: a batch's blocks advance together in tiles of about
+/// this many amplitudes, small enough that a tile's three arrays stay in
+/// cache while every matvec row streams across the tile's blocks.
+constexpr std::size_t kTileAmplitudes = std::size_t{1} << 10;
+
+/// Recurrence work, (nnz + d) × terms × count, below which a batch runs on
+/// the calling thread: under it, waking the shared pool costs more than the
+/// split saves.
+constexpr std::size_t kSerialWork = std::size_t{1} << 16;
+
+/// A single block's rows are split across the pool from this dimension up.
+constexpr std::size_t kParallelRows = 4096;
+
+/// One rail's view of a SparseExpOperator: the CSR arrays and Chebyshev
+/// coefficients at Real, and B = (A − c·I)/h as (center, 1/h).
+template <typename Real>
+struct ChebyshevRail {
+  std::size_t d;
+  std::size_t nonzeros;
+  const std::size_t* offsets;
+  const std::size_t* cols;
+  const Real* values;
+  const std::complex<Real>* coefficients;
+  std::size_t terms;
+  Real center;
+  Real inv_h;  ///< infinite when h = 0, but then terms = 1 and it is unused
+};
+
+/// kBytes of Reals as one GCC vector: arithmetic is lane-wise IEEE.
+template <typename Real, std::size_t kBytes>
+struct Lanes {
+  typedef Real type __attribute__((vector_size(kBytes)));
+};
+
+/// Unaligned vector (or scalar) load/store; by reference, so no vector ever
+/// crosses a call boundary whose ABI depends on the target.
+template <typename V, typename Real>
+QTDA_CHEBYSHEV_INLINE void load_lanes(V& v, const Real* from) {
+  std::memcpy(&v, from, sizeof v);
+}
+
+template <typename V, typename Real>
+QTDA_CHEBYSHEV_INLINE void store_lanes(Real* to, const V& v) {
+  std::memcpy(to, &v, sizeof v);
+}
+
+/// Term k ≥ 1 of the recurrence for row r and the N·W blocks from j0 (V
+/// holds W lanes) of a d × m tile stored as split re/im planes with the
+/// block index innermost (element (r, j) at r·m + j).  The CSR row dot over
+/// src is fused with the three-term update into dst and the accumulation
+/// into y.  The first term writes T_1 = B·T_0; later terms overwrite
+/// dst = T_{k−2} with T_k = 2B·T_{k−1} − T_{k−2} in place, which is safe
+/// because row r of dst is read by row r alone.  Per element this is the
+/// scalar single-block recurrence, operation for operation in the same order
+/// (row dots accumulate from zero, complex products expand as
+/// (ac − bd, ad + bc), nothing contracts into FMA), so results do not depend
+/// on the tiling, the split or the vector width.
+template <typename Real, bool kFirst, typename V, std::size_t N>
+QTDA_CHEBYSHEV_INLINE void chebyshev_lanes(
+    const ChebyshevRail<Real>& rail, std::size_t k, std::size_t m,
+    std::size_t r, std::size_t j0, const Real* src_re, const Real* src_im,
+    Real* dst_re, Real* dst_im, Real* y_re, Real* y_im) {
+  constexpr std::size_t W = sizeof(V) / sizeof(Real);
+  V acc_re[N];
+  V acc_im[N];
+  for (std::size_t n = 0; n < N; ++n) acc_re[n] = acc_im[n] = V{};
+  for (std::size_t e = rail.offsets[r]; e < rail.offsets[r + 1]; ++e) {
+    const Real v = rail.values[e];
+    const std::size_t from = rail.cols[e] * m + j0;
+    for (std::size_t n = 0; n < N; ++n) {
+      V s_re;
+      V s_im;
+      load_lanes(s_re, src_re + from + n * W);
+      load_lanes(s_im, src_im + from + n * W);
+      acc_re[n] += v * s_re;
+      acc_im[n] += v * s_im;
     }
-    t_prev.swap(t_cur);
+  }
+  const Real c = rail.center;
+  const Real inv_h = rail.inv_h;
+  const Real ak_re = rail.coefficients[k].real();
+  const Real ak_im = rail.coefficients[k].imag();
+  for (std::size_t n = 0; n < N; ++n) {
+    const std::size_t at = r * m + j0 + n * W;
+    V cur_re;
+    V cur_im;
+    V out_re;
+    V out_im;
+    load_lanes(cur_re, src_re + at);
+    load_lanes(cur_im, src_im + at);
+    load_lanes(out_re, y_re + at);
+    load_lanes(out_im, y_im + at);
+    const V b_re = acc_re[n] - c * cur_re;
+    const V b_im = acc_im[n] - c * cur_im;
+    V t_re;
+    V t_im;
+    if constexpr (kFirst) {
+      t_re = b_re * inv_h;
+      t_im = b_im * inv_h;
+    } else {
+      load_lanes(t_re, dst_re + at);
+      load_lanes(t_im, dst_im + at);
+      t_re = Real{2} * b_re * inv_h - t_re;
+      t_im = Real{2} * b_im * inv_h - t_im;
+    }
+    store_lanes(dst_re + at, t_re);
+    store_lanes(dst_im + at, t_im);
+    store_lanes(y_re + at, out_re + (ak_re * t_re - ak_im * t_im));
+    store_lanes(y_im + at, out_im + (ak_re * t_im + ak_im * t_re));
   }
 }
+
+/// Term k on rows [lo, hi) of the tile with kBytes-wide vectors: groups of
+/// 8 blocks, then single vectors, then single blocks.
+template <typename Real, bool kFirst, std::size_t kBytes>
+QTDA_CHEBYSHEV_INLINE void chebyshev_rows_body(
+    const ChebyshevRail<Real>& rail, std::size_t k, std::size_t m,
+    const Real* src_re, const Real* src_im, Real* dst_re, Real* dst_im,
+    Real* y_re, Real* y_im, std::size_t lo, std::size_t hi) {
+  using V = typename Lanes<Real, kBytes>::type;
+  constexpr std::size_t W = kBytes / sizeof(Real);
+  constexpr std::size_t N = W >= 8 ? 1 : 8 / W;
+  for (std::size_t r = lo; r < hi; ++r) {
+    std::size_t j0 = 0;
+    for (; j0 + N * W <= m; j0 += N * W)
+      chebyshev_lanes<Real, kFirst, V, N>(rail, k, m, r, j0, src_re, src_im,
+                                          dst_re, dst_im, y_re, y_im);
+    for (; j0 + W <= m; j0 += W)
+      chebyshev_lanes<Real, kFirst, V, 1>(rail, k, m, r, j0, src_re, src_im,
+                                          dst_re, dst_im, y_re, y_im);
+    for (; j0 < m; ++j0)
+      chebyshev_lanes<Real, kFirst, Real, 1>(rail, k, m, r, j0, src_re,
+                                             src_im, dst_re, dst_im, y_re,
+                                             y_im);
+  }
+}
+
+#if QTDA_CHEBYSHEV_AVX2
+template <typename Real, bool kFirst>
+__attribute__((target("avx2"))) void chebyshev_rows_avx2(
+    const ChebyshevRail<Real>& rail, std::size_t k, std::size_t m,
+    const Real* src_re, const Real* src_im, Real* dst_re, Real* dst_im,
+    Real* y_re, Real* y_im, std::size_t lo, std::size_t hi) {
+  chebyshev_rows_body<Real, kFirst, 32>(rail, k, m, src_re, src_im, dst_re,
+                                        dst_im, y_re, y_im, lo, hi);
+}
+#endif
+
+template <typename Real, bool kFirst>
+void chebyshev_rows(const ChebyshevRail<Real>& rail, std::size_t k,
+                    std::size_t m, const Real* src_re, const Real* src_im,
+                    Real* dst_re, Real* dst_im, Real* y_re, Real* y_im,
+                    std::size_t lo, std::size_t hi) {
+#if QTDA_CHEBYSHEV_AVX2
+  // The same body with 256-bit lanes.  AVX2 without FMA: nothing contracts,
+  // so the vector and scalar builds of the body round identically.
+  if (active_simd_level() != SimdLevel::kScalar) {
+    chebyshev_rows_avx2<Real, kFirst>(rail, k, m, src_re, src_im, dst_re,
+                                      dst_im, y_re, y_im, lo, hi);
+    return;
+  }
+#endif
+  chebyshev_rows_body<Real, kFirst, 16>(rail, k, m, src_re, src_im, dst_re,
+                                        dst_im, y_re, y_im, lo, hi);
+}
+
+/// y = e^{iθA}·x for the m consecutive blocks at x: transpose them into
+/// \p workspace (three d × m arrays: T_{k−1}, T_k and y), run every term
+/// across the whole tile, transpose y back.  With \p split_rows each term's
+/// rows are split across the shared pool above kParallelRows.
+template <typename Real>
+void chebyshev_tile(const ChebyshevRail<Real>& rail,
+                    const std::complex<Real>* x, std::complex<Real>* y,
+                    std::size_t m, Real* workspace, bool split_rows) {
+  const std::size_t d = rail.d;
+  const std::size_t plane = d * m;
+  Real* prev_re = workspace;
+  Real* prev_im = prev_re + plane;
+  Real* cur_re = prev_im + plane;
+  Real* cur_im = cur_re + plane;
+  Real* y_re = cur_im + plane;
+  Real* y_im = y_re + plane;
+  const std::complex<Real> a0 = rail.coefficients[0];
+  for (std::size_t j = 0; j < m; ++j) {
+    for (std::size_t r = 0; r < d; ++r) {
+      const std::complex<Real> v = x[j * d + r];
+      const std::size_t at = r * m + j;
+      prev_re[at] = v.real();
+      prev_im[at] = v.imag();
+      y_re[at] = a0.real() * v.real() - a0.imag() * v.imag();
+      y_im[at] = a0.real() * v.imag() + a0.imag() * v.real();
+    }
+  }
+  for (std::size_t k = 1; k < rail.terms; ++k) {
+    const auto rows = [&](std::size_t lo, std::size_t hi) {
+      if (k == 1) {
+        chebyshev_rows<Real, true>(rail, k, m, prev_re, prev_im, cur_re,
+                                   cur_im, y_re, y_im, lo, hi);
+      } else {
+        chebyshev_rows<Real, false>(rail, k, m, cur_re, cur_im, prev_re,
+                                    prev_im, y_re, y_im, lo, hi);
+      }
+    };
+    if (split_rows) {
+      parallel_for_chunked(0, d, rows, kParallelRows);
+    } else {
+      rows(0, d);
+    }
+    if (k >= 2) {  // dst now holds T_k: it becomes the current term
+      std::swap(prev_re, cur_re);
+      std::swap(prev_im, cur_im);
+    }
+  }
+  for (std::size_t j = 0; j < m; ++j)
+    for (std::size_t r = 0; r < d; ++r)
+      y[j * d + r] = {y_re[r * m + j], y_im[r * m + j]};
+}
+
+/// The exponential action on \p count consecutive blocks.  One block runs
+/// as a single tile with its rows split for large d.  A batch is cut into
+/// tiles of about kTileAmplitudes; it runs on the calling thread below
+/// kSerialWork and otherwise spreads its tiles over the shared pool, cut
+/// small enough that every worker gets one.
+template <typename Real>
+void chebyshev_batch(const ChebyshevRail<Real>& rail,
+                     const std::complex<Real>* x, std::complex<Real>* y,
+                     std::size_t count) {
+  if (count == 0) return;
+  const std::size_t d = rail.d;
+  std::size_t tile = std::clamp<std::size_t>(kTileAmplitudes / d, 1, count);
+  const std::size_t work = (rail.nonzeros + d) * rail.terms * count;
+  const std::size_t workers = ThreadPool::shared().size();
+  const bool parallel = count > 1 && work >= kSerialWork && workers > 1;
+  if (parallel) tile = std::min(tile, (count + workers - 1) / workers);
+  const std::size_t tiles = (count + tile - 1) / tile;
+  const auto run = [&](std::size_t lo, std::size_t hi) {
+    const std::unique_ptr<Real[]> workspace(new Real[6 * d * tile]);
+    for (std::size_t t = lo; t < hi; ++t) {
+      const std::size_t first = t * tile;
+      chebyshev_tile(rail, x + first * d, y + first * d,
+                     std::min(tile, count - first), workspace.get(),
+                     /*split_rows=*/count == 1 && d >= kParallelRows);
+    }
+  };
+  if (parallel) {
+    parallel_for_chunked(0, tiles, run, /*min_parallel_size=*/2);
+  } else {
+    run(0, tiles);
+  }
+}
+
+}  // namespace
 
 void SparseExpOperator::ensure_f32() const {
   std::call_once(f32_once_, [this] {
@@ -249,104 +481,43 @@ void SparseExpOperator::ensure_f32() const {
   });
 }
 
-void SparseExpOperator::apply_serial_f32(
-    const std::complex<float>* x, std::complex<float>* y,
-    std::vector<std::complex<float>>& t_prev,
-    std::vector<std::complex<float>>& t_cur,
-    std::vector<std::complex<float>>& scratch, bool parallel_matvec) const {
-  // The double recurrence of apply_serial, term for term, in float: float CSR
-  // values, float coefficients, float workspace — every matvec moves half the
-  // bytes.  B = (A − c·I)/h is formed with c, 1/h narrowed once up front.
-  const std::size_t n = a_->rows();
-  const std::size_t* offsets = a_->row_offsets().data();
-  const std::size_t* cols = a_->col_indices().data();
-  const float* vals = values_f32_.data();
-  const SimdLevel level = active_simd_level();
-  const auto matvec = [&](const std::complex<float>* in,
-                          std::complex<float>* out) {
-    const auto rows_body = [&](std::size_t lo, std::size_t hi) {
-      simd::csr_matvec_rows(level, offsets, cols, vals, in, out, lo, hi);
-    };
-    if (parallel_matvec) {
-      parallel_for_chunked(0, n, rows_body, /*min_parallel_size=*/4096);
-    } else {
-      rows_body(0, n);
-    }
-  };
-
-  const std::complex<float> a0 = coefficients_f32_[0];
-  for (std::size_t i = 0; i < n; ++i) y[i] = a0 * x[i];
-  if (coefficients_f32_.size() == 1) return;
-
-  const float center = static_cast<float>(center_);
-  const float inv_h = 1.0f / static_cast<float>(half_width_);
-  t_prev.assign(x, x + n);
-  matvec(x, t_cur.data());
-  for (std::size_t i = 0; i < n; ++i)
-    t_cur[i] = (t_cur[i] - center * x[i]) * inv_h;
-  const std::complex<float> a1 = coefficients_f32_[1];
-  for (std::size_t i = 0; i < n; ++i) y[i] += a1 * t_cur[i];
-
-  for (std::size_t k = 2; k < coefficients_f32_.size(); ++k) {
-    matvec(t_cur.data(), scratch.data());
-    const std::complex<float> ak = coefficients_f32_[k];
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::complex<float> next =
-          2.0f * (scratch[i] - center * t_cur[i]) * inv_h - t_prev[i];
-      t_prev[i] = next;
-      y[i] += ak * next;
-    }
-    t_prev.swap(t_cur);
-  }
-}
-
-void SparseExpOperator::apply_batch_f32(const std::complex<float>* x,
-                                        std::complex<float>* y,
-                                        std::size_t count) const {
-  ensure_f32();
-  const std::size_t d = a_->rows();
-  if (count == 1) {
-    std::vector<std::complex<float>> t_prev(d), t_cur(d), scratch(d);
-    apply_serial_f32(x, y, t_prev, t_cur, scratch, /*parallel_matvec=*/true);
-    return;
-  }
-  parallel_for_chunked(
-      0, count,
-      [&](std::size_t lo, std::size_t hi) {
-        std::vector<std::complex<float>> t_prev(d), t_cur(d), scratch(d);
-        for (std::size_t b = lo; b < hi; ++b)
-          apply_serial_f32(x + b * d, y + b * d, t_prev, t_cur, scratch,
-                           /*parallel_matvec=*/false);
-      },
-      /*min_parallel_size=*/2);
-}
-
 void SparseExpOperator::apply(const std::complex<double>* x,
                               std::complex<double>* y) const {
-  std::vector<std::complex<double>> t_prev(a_->rows()), t_cur(a_->rows()),
-      scratch(a_->rows());
-  apply_serial(x, y, t_prev, t_cur, scratch, /*parallel_matvec=*/true);
+  apply_batch(x, y, 1);
 }
 
 void SparseExpOperator::apply_batch(const std::complex<double>* x,
                                     std::complex<double>* y,
                                     std::size_t count) const {
-  if (count == 1) {
-    apply(x, y);  // single block: parallelize inside the matvec instead
-    return;
-  }
-  const std::size_t d = a_->rows();
-  // One Chebyshev recurrence per block; workers reuse one workspace per
-  // chunk.  Matvecs stay serial — nesting on the shared pool would deadlock.
-  parallel_for_chunked(
-      0, count,
-      [&](std::size_t lo, std::size_t hi) {
-        std::vector<std::complex<double>> t_prev(d), t_cur(d), scratch(d);
-        for (std::size_t b = lo; b < hi; ++b)
-          apply_serial(x + b * d, y + b * d, t_prev, t_cur, scratch,
-                       /*parallel_matvec=*/false);
-      },
-      /*min_parallel_size=*/2);
+  const ChebyshevRail<double> rail{a_->rows(),
+                                   a_->nonzeros(),
+                                   a_->row_offsets().data(),
+                                   a_->col_indices().data(),
+                                   a_->values().data(),
+                                   coefficients_->data(),
+                                   coefficients_->size(),
+                                   center_,
+                                   1.0 / half_width_};
+  chebyshev_batch(rail, x, y, count);
+}
+
+void SparseExpOperator::apply_batch_f32(const std::complex<float>* x,
+                                        std::complex<float>* y,
+                                        std::size_t count) const {
+  // The double recurrence term for term in float: float CSR values, float
+  // coefficients, float workspace, with c and 1/h narrowed once up front.
+  ensure_f32();
+  const ChebyshevRail<float> rail{
+      a_->rows(),
+      a_->nonzeros(),
+      a_->row_offsets().data(),
+      a_->col_indices().data(),
+      values_f32_.data(),
+      coefficients_f32_.data(),
+      coefficients_f32_.size(),
+      static_cast<float>(center_),
+      1.0f / static_cast<float>(half_width_)};
+  chebyshev_batch(rail, x, y, count);
 }
 
 ComplexVector expm_multiply(const SparseMatrix& a, double theta,

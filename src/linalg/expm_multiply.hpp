@@ -87,8 +87,12 @@ class SparseExpOperator final : public LinearOperator {
   void apply(const std::complex<double>* x,
              std::complex<double>* y) const override;
 
-  /// Parallelizes across blocks (one Chebyshev recurrence each) when the
-  /// batch is large, across matvec rows when it is a single big block.
+  /// Advances tiles of about 2^10 amplitudes (blocks transposed so the
+  /// block index is innermost) through one fused Chebyshev recurrence.
+  /// Small batches run on the calling thread; larger ones spread their
+  /// tiles over the shared pool, and a single large block splits its rows.
+  /// Every element gets the scalar single-block arithmetic in its order, so
+  /// results are independent of the batching and the SIMD level.
   void apply_batch(const std::complex<double>* x, std::complex<double>* y,
                    std::size_t count) const override;
 
@@ -113,16 +117,6 @@ class SparseExpOperator final : public LinearOperator {
   }
 
  private:
-  void apply_serial(const std::complex<double>* x, std::complex<double>* y,
-                    std::vector<std::complex<double>>& t_prev,
-                    std::vector<std::complex<double>>& t_cur,
-                    std::vector<std::complex<double>>& scratch,
-                    bool parallel_matvec) const;
-  void apply_serial_f32(const std::complex<float>* x, std::complex<float>* y,
-                        std::vector<std::complex<float>>& t_prev,
-                        std::vector<std::complex<float>>& t_cur,
-                        std::vector<std::complex<float>>& scratch,
-                        bool parallel_matvec) const;
   /// Builds values_f32_/coefficients_f32_ on first float application.
   void ensure_f32() const;
 

@@ -42,15 +42,8 @@ class SparseMatrix {
   /// y = Aᵀ·x.
   RealVector multiply_transposed(const RealVector& x) const;
 
-  /// y = A·x over complex vectors (A is real): the hot kernel of the
-  /// matrix-free exponential action.  Parallelized across rows for large
-  /// matrices.
+  /// y = A·x over complex vectors (A is real).
   ComplexVector multiply(const ComplexVector& x) const;
-  /// Raw-pointer core of the complex matvec; \p x and \p y are length
-  /// cols()/rows() buffers that must not alias.  \p parallel enables the
-  /// shared-pool row split (callers already inside a pool task pass false).
-  void multiply(const std::complex<double>* x, std::complex<double>* y,
-                bool parallel = true) const;
 
   /// Dense Aᵀ·A (size cols×cols).
   RealMatrix gram() const;

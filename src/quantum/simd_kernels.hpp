@@ -1,10 +1,10 @@
 /// \file simd_kernels.hpp
-/// \brief Runtime-dispatched SIMD kernels for the four hot simulation loops.
+/// \brief Runtime-dispatched SIMD kernels for the three hot gate loops.
 ///
 /// The contiguous pair sweep (single-qubit gates), the diagonal table-lookup
-/// pass (fused diagonals), the fused dense-block apply (block/two-qubit
-/// matvec) and the CSR matvec (the Chebyshev oracle) dominate every profile.
-/// Each gets an explicit AVX2 and (where it pays) AVX-512 path in
+/// pass (fused diagonals) and the fused dense-block apply (block/two-qubit
+/// matvec) dominate the gate profiles (the Chebyshev operator vectorizes
+/// across blocks in linalg/expm_multiply.cpp).  Each gets an explicit AVX2 and (where it pays) AVX-512 path in
 /// simd_kernels.cpp, selected at runtime through common/cpu_features.hpp —
 /// one binary, widest safe path.
 ///
@@ -12,14 +12,11 @@
 /// loops, source-identical to the pre-vectorization engines, compiled in the
 /// caller's TU with the default (baseline x86-64, no FMA) flags — so
 /// `QTDA_SIMD=0` reproduces the old arithmetic bit for bit.  The vector
-/// paths of the pair sweep, diagonal pass and block matvec are *also*
-/// bitwise identical to the scalar ones: they keep one accumulator per
+/// paths are *also* bitwise identical to the scalar ones: they keep one accumulator per
 /// output element, evaluate the same products in the same sequence (complex
 /// multiplies use separate mul/add — never FMA — matching the libstdc++
 /// textbook formula up to commuting one addition), and simd_kernels.cpp is
-/// compiled with -ffp-contract=off.  Only the CSR matvec reassociates under
-/// vectorization (lane-split dot products); both state-vector engines share
-/// that one kernel, so their mutual bit-equality survives at every level.
+/// compiled with -ffp-contract=off.
 #pragma once
 
 #include <complex>
@@ -63,14 +60,6 @@ void block_matvec_vec(SimdLevel level, const std::complex<double>* u,
 void block_matvec_vec(SimdLevel level, const std::complex<float>* u,
                       const std::complex<float>* in, std::complex<float>* out,
                       std::size_t block);
-void csr_matvec_vec(SimdLevel level, const std::size_t* offsets,
-                    const std::size_t* cols, const double* vals,
-                    const std::complex<double>* x, std::complex<double>* y,
-                    std::size_t row_lo, std::size_t row_hi);
-void csr_matvec_vec(SimdLevel level, const std::size_t* offsets,
-                    const std::size_t* cols, const float* vals,
-                    const std::complex<float>* x, std::complex<float>* y,
-                    std::size_t row_lo, std::size_t row_hi);
 }  // namespace detail
 
 /// In-place uncontrolled single-qubit update of the contiguous pair runs
@@ -162,31 +151,6 @@ inline void block_matvec(SimdLevel level, const std::complex<R>* u,
     return;
   }
   detail::block_matvec_vec(level, u, in, out, block);
-}
-
-/// CSR matvec over the row range [row_lo, row_hi) with real values:
-/// y[r] = Σ_k vals[k]·x[cols[k]].  The double vector path splits each row
-/// dot across lanes (reassociating the sum) — the one kernel whose
-/// vectorized results differ in the last ulp from the scalar path; both
-/// state-vector engines route through this same function, so they still
-/// agree with each other exactly.  The float path stays scalar at every
-/// level: the gathered 8-lane variant measured slower than the plain dot
-/// (see simd_kernels.cpp).
-template <typename R>
-inline void csr_matvec_rows(SimdLevel level, const std::size_t* offsets,
-                            const std::size_t* cols, const R* vals,
-                            const std::complex<R>* x, std::complex<R>* y,
-                            std::size_t row_lo, std::size_t row_hi) {
-  if (level == SimdLevel::kScalar) {
-    for (std::size_t r = row_lo; r < row_hi; ++r) {
-      std::complex<R> acc{};
-      for (std::size_t k = offsets[r]; k < offsets[r + 1]; ++k)
-        acc += vals[k] * x[cols[k]];
-      y[r] = acc;
-    }
-    return;
-  }
-  detail::csr_matvec_vec(level, offsets, cols, vals, x, y, row_lo, row_hi);
 }
 
 }  // namespace simd

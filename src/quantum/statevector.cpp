@@ -14,9 +14,8 @@ namespace qtda {
 
 namespace {
 
-/// Below this state size the OpenMP fork/join overhead dominates
-/// (measured: parallel dispatch on 2^14-amplitude states made the exact
-/// density-matrix ablation ~10x slower than serial kernels).  Shared with
+/// Below this state size the measurement reductions stay serial (the gate
+/// kernels always are; the sharded engine is the parallel one).  Shared with
 /// the sharded engine (statevector.hpp) so both backends pick identical
 /// ordered-reduction chunkings — the root of their bit-identical marginals.
 constexpr std::uint64_t kParallelThreshold = kStatevectorParallelThreshold;
@@ -29,8 +28,7 @@ constexpr std::uint64_t kMinSimdRun = 4;
 
 /// Reusable per-thread buffers for the non-plan entry points: apply_unitary
 /// and apply_operator used to allocate their gather/scatter scratch on every
-/// call (and every OpenMP worker allocated its own per gate); these persist
-/// for the thread's lifetime.  Plan execution uses the plan's own arena, not
+/// call; these persist for the thread's lifetime.  Plan execution uses the plan's own arena, not
 /// these.  Templated over the amplitude type: each engine precision owns its
 /// buffers.
 template <typename C>
@@ -198,18 +196,8 @@ void BasicStatevector<Real>::single_qubit_kernel(C u00, C u01, C u10, C u11,
     amp[i1] = u10 * a0 + u11 * a1;
   };
 
-  if (dim >= kParallelThreshold) {
-#ifdef QTDA_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-    for (std::int64_t i = 0; i < static_cast<std::int64_t>(dim); ++i) {
-      const auto idx = static_cast<std::uint64_t>(i);
-      if ((idx & mask) == 0) body(idx);
-    }
-  } else {
-    for (std::uint64_t block = 0; block < dim; block += 2 * mask) {
-      for (std::uint64_t i = block; i < block + mask; ++i) body(i);
-    }
+  for (std::uint64_t block = 0; block < dim; block += 2 * mask) {
+    for (std::uint64_t i = block; i < block + mask; ++i) body(i);
   }
 }
 
@@ -272,22 +260,6 @@ void BasicStatevector<Real>::block_kernel(
     }
   };
 
-  if (dim >= kParallelThreshold && block <= 64) {
-#ifdef QTDA_HAVE_OPENMP
-#pragma omp parallel
-    {
-      // Per-OpenMP-thread reusable buffer (persists across gates).
-      std::vector<C>& local = thread_block_scratch<C>();
-      local.resize(block);
-#pragma omp for schedule(static)
-      for (std::int64_t i = 0; i < static_cast<std::int64_t>(dim); ++i) {
-        const auto idx = static_cast<std::uint64_t>(i);
-        if ((idx & tmask) == 0 && (idx & cmask) == cmask) body(idx, local);
-      }
-    }
-    return;
-#endif
-  }
   scratch.resize(block);
   for (std::uint64_t i = 0; i < dim; ++i) {
     if ((i & tmask) == 0 && (i & cmask) == cmask) body(i, scratch);
@@ -432,20 +404,6 @@ void BasicStatevector<Real>::two_qubit_kernel(const C* u,
   // Nested strided loops keep the innermost run contiguous (length
   // m_small), which is what lets the compiler pipeline the complex
   // arithmetic — a flat compressed-index loop ran ~2× slower.
-  if (dim >= kParallelThreshold) {
-#ifdef QTDA_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
-    for (std::int64_t s = 0; s < static_cast<std::int64_t>(dim >> 2); ++s) {
-      // Expand the compressed counter: insert zeros at the two positions.
-      std::uint64_t base = ((static_cast<std::uint64_t>(s) & ~(m_small - 1))
-                            << 1) |
-                           (static_cast<std::uint64_t>(s) & (m_small - 1));
-      base = ((base & ~(m_big - 1)) << 1) | (base & (m_big - 1));
-      body(base);
-    }
-    return;
-#endif
-  }
   for (std::uint64_t a = 0; a < dim; a += m_big << 1) {
     for (std::uint64_t b = a; b < a + m_big; b += m_small << 1) {
       for (std::uint64_t i = b; i < b + m_small; ++i) body(i);
@@ -458,24 +416,8 @@ void BasicStatevector<Real>::diagonal_kernel(const C* table,
                                              const DiagonalExtract& extract) {
   // One multiply per amplitude, however many gates the diagonal absorbed:
   // the big fusion win of the controlled-phase-dominated QPE networks.
-  const std::uint64_t dim = dimension();
-  C* amp = amplitudes_.data();
-  const SimdLevel level = active_simd_level();
-  if (dim >= kParallelThreshold) {
-#ifdef QTDA_HAVE_OPENMP
-    constexpr std::int64_t kChunks = 64;
-    const std::uint64_t span = (dim + kChunks - 1) / kChunks;
-#pragma omp parallel for schedule(static)
-    for (std::int64_t chunk = 0; chunk < kChunks; ++chunk) {
-      const std::uint64_t lo = static_cast<std::uint64_t>(chunk) * span;
-      if (lo >= dim) continue;
-      const std::uint64_t hi = std::min(dim, lo + span);
-      simd::diagonal_pass(level, amp + lo, lo, hi - lo, extract, table);
-    }
-    return;
-#endif
-  }
-  simd::diagonal_pass(level, amp, 0, dim, extract, table);
+  simd::diagonal_pass(active_simd_level(), amplitudes_.data(), 0, dimension(),
+                      extract, table);
 }
 
 template <typename Real>

@@ -2,9 +2,10 @@
 /// \brief Dense state-vector simulator, templated over the amplitude scalar.
 ///
 /// Amplitudes are stored for all 2^n basis states under the MSB-first qubit
-/// convention of types.hpp.  Gate kernels are cache-friendly strided loops,
-/// parallelized with OpenMP above a size threshold (the state for the
-/// paper's circuits ranges from 2^3 to 2^20 amplitudes).
+/// convention of types.hpp.  Gate kernels are cache-friendly serial strided
+/// loops; measurement reductions split over the shared pool above a size
+/// threshold (the state for the paper's circuits ranges from 2^3 to 2^20
+/// amplitudes).  Slab-parallel gates are the sharded engine's job.
 ///
 /// The engine is `BasicStatevector<Real>` with `Real` ∈ {double, float}
 /// (explicitly instantiated in statevector.cpp): complex128 is the default

@@ -1,5 +1,6 @@
 #include "serve/protocol.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -31,6 +32,15 @@ double parse_double(const std::string& token, const char* what) {
   const double value = std::strtod(token.c_str(), &end);
   QTDA_REQUIRE(end != nullptr && *end == '\0' && !token.empty(),
                "malformed " << what << " \"" << token << '"');
+  return value;
+}
+
+/// Request inputs must be finite: strtod accepts "nan" and "inf", which
+/// would otherwise fail deep inside the estimator as an internal error.
+double parse_finite(const std::string& token, const char* what) {
+  const double value = parse_double(token, what);
+  QTDA_REQUIRE(std::isfinite(value),
+               "non-finite " << what << " \"" << token << '"');
   return value;
 }
 
@@ -69,7 +79,7 @@ std::vector<std::vector<double>> parse_points(const std::string& token) {
   for (const std::string& point : split(token, ';')) {
     std::vector<double> coordinates;
     for (const std::string& coordinate : split(point, ','))
-      coordinates.push_back(parse_double(coordinate, "coordinate"));
+      coordinates.push_back(parse_finite(coordinate, "coordinate"));
     QTDA_REQUIRE(!points.empty()
                      ? coordinates.size() == points.front().size()
                      : !coordinates.empty(),
@@ -127,7 +137,7 @@ EstimateRequest parse_request(const std::string& line) {
     if (key == "id") {
       request.id = value;
     } else if (key == "eps") {
-      request.epsilon = parse_double(value, "eps");
+      request.epsilon = parse_finite(value, "eps");
     } else if (key == "k") {
       request.k = static_cast<int>(parse_u64(value, "k"));
     } else if (key == "t") {
@@ -137,7 +147,7 @@ EstimateRequest parse_request(const std::string& line) {
     } else if (key == "seed") {
       request.options.seed = parse_u64(value, "seed");
     } else if (key == "delta") {
-      request.options.delta = parse_double(value, "delta");
+      request.options.delta = parse_finite(value, "delta");
     } else if (key == "backend") {
       request.options.backend = backend_from_name(value);
     } else if (key == "mixed") {

@@ -6,7 +6,11 @@
 
 #include <cmath>
 #include <complex>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
+#include "common/cpu_features.hpp"
 #include "common/random.hpp"
 #include "linalg/gershgorin.hpp"
 #include "linalg/matrix_exp.hpp"
@@ -163,6 +167,168 @@ TEST(SparseExpOperator, LadderSharesCoefficientSetup) {
   // [0, 2λ].
   const SparseExpOperator equivalent(h, 2.0, 0.0, 12.0);
   EXPECT_EQ(first.coefficients(), equivalent.coefficients());
+}
+
+// ------------------------------------------------ tiled kernel bit-exactness
+
+/// The single-block Chebyshev recurrence in plain std::complex arithmetic:
+/// scalar CSR row dots from zero, T_1 = (A·x − c·x)/h, then
+/// T_k = 2(A·T_{k−1} − c·T_{k−1})/h − T_{k−2} with y += a_k·T_k.  apply_batch
+/// must reproduce it bit for bit on every block, whatever the batch size,
+/// tiling, pool split or SIMD level.  The float rail narrows the values, the
+/// coefficients, c and h first, as the operator does.
+template <typename Real>
+std::vector<std::complex<Real>> reference_blocks(
+    const SparseMatrix& a, const SparseExpOperator& op, double lambda_min,
+    double lambda_max, const std::vector<std::complex<Real>>& x) {
+  using C = std::complex<Real>;
+  const std::size_t n = a.rows();
+  const std::vector<Real> vals(a.values().begin(), a.values().end());
+  std::vector<C> coeff;
+  for (const std::complex<double>& c : *op.coefficients())
+    coeff.emplace_back(static_cast<Real>(c.real()),
+                       static_cast<Real>(c.imag()));
+  const Real center = static_cast<Real>(0.5 * (lambda_max + lambda_min));
+  const Real inv_h =
+      Real{1} / static_cast<Real>(0.5 * (lambda_max - lambda_min));
+  const auto matvec = [&](const C* in, C* out) {
+    for (std::size_t r = 0; r < n; ++r) {
+      C acc{};
+      for (std::size_t k = a.row_offsets()[r]; k < a.row_offsets()[r + 1];
+           ++k)
+        acc += vals[k] * in[a.col_indices()[k]];
+      out[r] = acc;
+    }
+  };
+  std::vector<C> y(x.size());
+  for (std::size_t b = 0; b < x.size() / n; ++b) {
+    const C* xb = x.data() + b * n;
+    C* yb = y.data() + b * n;
+    for (std::size_t i = 0; i < n; ++i) yb[i] = coeff[0] * xb[i];
+    if (coeff.size() == 1) continue;
+    std::vector<C> t_prev(xb, xb + n), t_cur(n), scratch(n);
+    matvec(xb, t_cur.data());
+    for (std::size_t i = 0; i < n; ++i)
+      t_cur[i] = (t_cur[i] - center * xb[i]) * inv_h;
+    for (std::size_t i = 0; i < n; ++i) yb[i] += coeff[1] * t_cur[i];
+    for (std::size_t k = 2; k < coeff.size(); ++k) {
+      matvec(t_cur.data(), scratch.data());
+      for (std::size_t i = 0; i < n; ++i) {
+        const C next =
+            Real{2} * (scratch[i] - center * t_cur[i]) * inv_h - t_prev[i];
+        t_prev[i] = next;
+        yb[i] += coeff[k] * next;
+      }
+      t_prev.swap(t_cur);
+    }
+  }
+  return y;
+}
+
+std::uint64_t raw_bits(double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+std::uint32_t raw_bits(float v) {
+  std::uint32_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+void run_batch(const SparseExpOperator& op,
+               const std::vector<std::complex<double>>& x,
+               std::vector<std::complex<double>>& y, std::size_t count) {
+  op.apply_batch(x.data(), y.data(), count);
+}
+
+void run_batch(const SparseExpOperator& op,
+               const std::vector<std::complex<float>>& x,
+               std::vector<std::complex<float>>& y, std::size_t count) {
+  op.apply_batch_f32(x.data(), y.data(), count);
+}
+
+/// apply_batch over `count` random blocks equals reference_blocks in every
+/// bit of every amplitude.
+template <typename Real>
+void expect_batch_bit_exact(const SparseMatrix& a, double theta,
+                            double lambda_min, double lambda_max,
+                            std::size_t count, std::uint64_t seed) {
+  const SparseExpOperator op(a, theta, lambda_min, lambda_max);
+  Rng rng(seed);
+  std::vector<std::complex<Real>> x(a.rows() * count), y(x.size());
+  for (auto& v : x)
+    v = {static_cast<Real>(rng.uniform() * 2.0 - 1.0),
+         static_cast<Real>(rng.uniform() * 2.0 - 1.0)};
+  run_batch(op, x, y, count);
+  const std::vector<std::complex<Real>> expected =
+      reference_blocks(a, op, lambda_min, lambda_max, x);
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < y.size(); ++i)
+    if (raw_bits(y[i].real()) != raw_bits(expected[i].real()) ||
+        raw_bits(y[i].imag()) != raw_bits(expected[i].imag()))
+      ++mismatches;
+  EXPECT_EQ(mismatches, 0u)
+      << "d=" << a.rows() << " count=" << count << " terms=" << op.num_terms()
+      << " simd=" << simd_level_name(active_simd_level());
+}
+
+template <typename Real>
+void expect_batch_shapes_bit_exact() {
+  Rng rng(71);
+  for (std::size_t d : {1u, 4u, 8u, 128u}) {
+    const SparseMatrix a = d == 1
+                               ? SparseMatrix::from_triplets(1, 1, {{0, 0, 0.7}})
+                               : random_sparse_psd(d, rng);
+    const double lmin = d == 1 ? 0.0 : gershgorin_min(a);
+    const double lmax = gershgorin_max(a);
+    // One tile holds 2^10 amplitudes: straddle it on both sides.
+    const std::size_t tile = 1024 / d;
+    for (std::size_t count : {std::size_t{2}, tile - 1, tile + 1})
+      expect_batch_bit_exact<Real>(a, 3.0, lmin, lmax, count, d + count);
+  }
+}
+
+TEST(SparseExpKernel, BatchShapesMatchScalarRecurrenceBitForBit) {
+  expect_batch_shapes_bit_exact<double>();
+}
+
+TEST(SparseExpKernel, FloatRailMatchesScalarRecurrenceBitForBit) {
+  expect_batch_shapes_bit_exact<float>();
+}
+
+TEST(SparseExpKernel, PoolSplitBatchMatchesScalarRecurrenceBitForBit) {
+  // d = 8 at θ = 16 over 512 blocks is far above the serial-work gate, so
+  // the tiles spread over the shared pool.
+  Rng rng(73);
+  const SparseMatrix a = random_sparse_psd(8, rng);
+  expect_batch_bit_exact<double>(a, 16.0, gershgorin_min(a), gershgorin_max(a),
+                                 512, 5);
+  expect_batch_bit_exact<float>(a, 16.0, gershgorin_min(a), gershgorin_max(a),
+                                512, 6);
+}
+
+TEST(SparseExpKernel, OneTermOperatorIsAPhase) {
+  // λmin = λmax ⇒ h = 0 ⇒ e^{iθA} = e^{iθc}·I, a single coefficient.
+  Rng rng(79);
+  const SparseMatrix a = random_sparse_psd(8, rng);
+  const SparseExpOperator op(a, 2.0, 1.5, 1.5);
+  EXPECT_EQ(op.num_terms(), 1u);
+  expect_batch_bit_exact<double>(a, 2.0, 1.5, 1.5, 1, 9);
+  expect_batch_bit_exact<double>(a, 2.0, 1.5, 1.5, 33, 10);
+  expect_batch_bit_exact<float>(a, 2.0, 1.5, 1.5, 33, 11);
+}
+
+TEST(SparseExpKernel, SingleLargeBlockRowSplitMatchesSerialRecurrence) {
+  // count = 1 with d above the 4096-row split threshold: each term's rows
+  // run across the shared pool and must still equal the serial recurrence.
+  Rng rng(83);
+  const SparseMatrix a = random_sparse_psd(5000, rng);
+  expect_batch_bit_exact<double>(a, 2.0, gershgorin_min(a), gershgorin_max(a),
+                                 1, 12);
+  expect_batch_bit_exact<float>(a, 2.0, gershgorin_min(a), gershgorin_max(a),
+                                1, 13);
 }
 
 TEST(ExpmMultiply, RejectsBadShapes) {

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -355,6 +356,42 @@ TEST(ServeProtocol, MalformedLinesThrow) {
   EXPECT_EQ(classify_request_line("ping"), ServeCommand::kPing);
   EXPECT_EQ(classify_request_line("stats"), ServeCommand::kStats);
   EXPECT_EQ(classify_request_line("shutdown"), ServeCommand::kShutdown);
+}
+
+/// A line whose numbers parse but are not finite must be refused by the
+/// parser, so the server answers a non-retryable `protocol` error instead of
+/// failing later inside the estimator as `internal`.
+void expect_served_protocol_error(const std::string& line) {
+  EXPECT_THROW(parse_request(line), Error) << line;
+  BettiServer server(ServerOptions{});
+  LoopbackTransport transport;
+  server.start(transport);
+  std::shared_ptr<Connection> connection = transport.connect();
+  ASSERT_TRUE(connection->write_line(line));
+  const std::optional<std::string> reply = connection->read_line();
+  ASSERT_TRUE(reply.has_value());
+  const EstimateResponse response = parse_response(*reply);
+  EXPECT_FALSE(response.ok) << line;
+  EXPECT_EQ(response.code, ServeErrorCode::kProtocol) << response.error;
+  EXPECT_FALSE(response.retryable);
+  server.stop();
+}
+
+TEST(ServeProtocol, NonFiniteEpsIsAProtocolError) {
+  expect_served_protocol_error("estimate id=e1 eps=nan points=0,0;1,1");
+  expect_served_protocol_error("estimate id=e2 eps=inf points=0,0;1,1");
+}
+
+TEST(ServeProtocol, NonFiniteDeltaIsAProtocolError) {
+  expect_served_protocol_error(
+      "estimate id=d1 eps=1.5 delta=nan points=0,0;1,1");
+  expect_served_protocol_error(
+      "estimate id=d2 eps=1.5 delta=-inf points=0,0;1,1");
+}
+
+TEST(ServeProtocol, NonFiniteCoordinateIsAProtocolError) {
+  expect_served_protocol_error("estimate id=p1 eps=1.5 points=0,nan;1,1");
+  expect_served_protocol_error("estimate id=p2 eps=1.5 points=0,0;inf,1");
 }
 
 // ------------------------------------------------------- served bit-identity
