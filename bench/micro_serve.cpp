@@ -9,10 +9,11 @@
 ///    expansion, CSR Laplacian assembly, Chebyshev-ladder circuit
 ///    construction, plan compilation and the diagnostic eigensolve; warm
 ///    pays key lookup plus the shot execution only.
-///  * BM_ServeSerial vs BM_ServeBatched — the batcher's primitive: six
+///  * BM_ServeSerial vs BM_ServeBatched — the evolve-once primitive: six
 ///    identical-plan purification requests executed one evolution each
-///    versus one shared evolution with per-request shot sampling
-///    (bit-identical by construction, see estimate_betti_batch).
+///    (the plan's distribution memo emptied before every request) versus
+///    one evolution per batch with per-request shot sampling from the memo
+///    (bit-identical by construction, see CompiledEstimate::distribution).
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -120,14 +121,17 @@ BatchWorkload batch_workload() {
   return workload;
 }
 
-/// Serial baseline: one full state evolution per request.
+/// Serial baseline: one full state evolution per request (the memo is
+/// emptied first, as for six distinct plans).
 void BM_ServeSerial(benchmark::State& state) {
   const BatchWorkload workload = batch_workload();
   for (auto _ : state) {
     double total = 0.0;
-    for (const EstimatorOptions& request : workload.requests)
+    for (const EstimatorOptions& request : workload.requests) {
+      workload.compiled.distribution.reset();
       total += estimate_betti_with_plan(workload.compiled, request)
                    .estimated_betti;
+    }
     benchmark::DoNotOptimize(total);
   }
   state.counters["requests"] =
@@ -138,10 +142,12 @@ void BM_ServeSerial(benchmark::State& state) {
 BENCHMARK(BM_ServeSerial);
 
 /// Batched: one evolution, per-request shot sampling — what the server's
-/// admission queue coalesces identical-plan requests into.
+/// admission queue coalesces identical-plan requests into.  The memo is
+/// emptied per batch so every iteration pays its one evolution.
 void BM_ServeBatched(benchmark::State& state) {
   const BatchWorkload workload = batch_workload();
   for (auto _ : state) {
+    workload.compiled.distribution.reset();
     double total = 0.0;
     for (const BettiEstimate& estimate :
          estimate_betti_batch(workload.compiled, workload.requests))

@@ -7,6 +7,7 @@
 /// out in release builds unless QTDA_ENABLE_ASSERTS is defined.
 #pragma once
 
+#include <cstddef>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -16,7 +17,15 @@ namespace qtda {
 /// Exception thrown on contract violations across the library.
 class Error : public std::runtime_error {
  public:
-  explicit Error(const std::string& what) : std::runtime_error(what) {}
+  /// \p location_size: length of the source-location prefix of \p what.
+  explicit Error(const std::string& what, std::size_t location_size = 0)
+      : std::runtime_error(what), location_size_(location_size) {}
+
+  /// what() without its source location: the text fit for a remote peer.
+  const char* message() const noexcept { return what() + location_size_; }
+
+ private:
+  std::size_t location_size_;
 };
 
 namespace detail {
@@ -24,10 +33,11 @@ namespace detail {
 [[noreturn]] inline void throw_error(const char* condition, const char* file,
                                      int line, const std::string& message) {
   std::ostringstream os;
-  os << "qtda error at " << file << ':' << line << " — requirement ("
-     << condition << ") failed";
+  os << "qtda error at " << file << ':' << line << " — ";
+  const auto location_size = static_cast<std::size_t>(os.tellp());
+  os << "requirement (" << condition << ") failed";
   if (!message.empty()) os << ": " << message;
-  throw Error(os.str());
+  throw Error(os.str(), location_size);
 }
 
 }  // namespace detail

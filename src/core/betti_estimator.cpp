@@ -18,12 +18,20 @@ namespace qtda {
 
 namespace {
 
+bool purifies(const EstimatorOptions& options) {
+  return options.mixed_state == MixedStateMode::kPurification;
+}
+
+double delta_of(const EstimatorOptions& options) {
+  return options.delta > 0.0 ? options.delta : default_delta();
+}
+
 QpeLayout make_layout(const EstimatorOptions& options,
-                      std::size_t system_qubits, bool with_purification) {
+                      std::size_t system_qubits) {
   QpeLayout layout;
   layout.precision_qubits = options.precision_qubits;
   layout.system_qubits = system_qubits;
-  layout.ancilla_qubits = with_purification ? system_qubits : 0;
+  layout.ancilla_qubits = purifies(options) ? system_qubits : 0;
   return layout;
 }
 
@@ -50,80 +58,58 @@ Circuit build_trotter_qpe(const PauliSum& hamiltonian,
       });
 }
 
-/// Builds the full QPE circuit (state prep + network) for the given scaled
-/// Hamiltonian with a dense oracle (kCircuitExact) or Trotterized fragments
-/// (kCircuitTrotter).  For the purification mode the register is t + q + q
-/// wide; for sampled-basis it is t + q and the system register is
-/// initialized by the caller per shot.
+/// An empty QTDA register — t + q wires, plus q ancillas in the purification
+/// mode — carrying the Fig. 2 mixed-state preparation when it purifies; the
+/// caller appends the QPE network.  In the sampled-basis mode the caller
+/// initializes the system register per shot instead.
+Circuit prepared_register(const QpeLayout& layout, std::size_t max_qubits,
+                          const char* budget) {
+  QTDA_REQUIRE(layout.total() <= max_qubits,
+               "register of " << layout.total() << " qubits exceeds the "
+                              << budget);
+  Circuit circuit(layout.total());
+  if (layout.ancilla_qubits > 0)
+    append_mixed_state_preparation(circuit, layout.ancilla_wires(),
+                                   layout.system_wires());
+  return circuit;
+}
+
+/// Builds the full QPE circuit for the given scaled Hamiltonian with a dense
+/// oracle (kCircuitExact) or Trotterized fragments (kCircuitTrotter).
 Circuit build_estimator_circuit(const ScaledHamiltonian& scaled,
-                                const EstimatorOptions& options,
-                                bool with_purification) {
-  const QpeLayout layout =
-      make_layout(options, scaled.num_qubits, with_purification);
-  QTDA_REQUIRE(layout.total() <= 26,
-               "register of " << layout.total()
-                              << " qubits exceeds the dense-oracle budget; "
-                                 "use EstimatorBackend::kCircuitSparse");
-
-  Circuit circuit(layout.total());
-  if (with_purification) {
-    append_mixed_state_preparation(circuit, layout.ancilla_wires(),
-                                   layout.system_wires());
+                                const EstimatorOptions& options) {
+  const QpeLayout layout = make_layout(options, scaled.num_qubits);
+  Circuit circuit = prepared_register(
+      layout, 26,
+      "dense-oracle budget; use EstimatorBackend::kCircuitSparse");
+  if (options.backend == EstimatorBackend::kCircuitTrotter) {
+    circuit.append_circuit(
+        build_trotter_qpe(pauli_decompose(scaled.matrix), options, layout));
+    return circuit;
   }
-
-  Circuit qpe = [&] {
-    if (options.backend == EstimatorBackend::kCircuitTrotter) {
-      return build_trotter_qpe(pauli_decompose(scaled.matrix), options,
-                               layout);
-    }
-    // kCircuitExact: dense controlled powers from the eigendecomposition.
-    const HamiltonianExponential exponential(scaled.matrix);
-    return build_qpe_circuit_dense(layout, [&](std::uint64_t power) {
-      return exponential.unitary(static_cast<double>(power));
-    });
-  }();
-  circuit.append_circuit(qpe);
-  return circuit;
-}
-
-/// Trotter-on-CSR: the Pauli decomposition is read straight off the sparse
-/// structure (pauli_decompose's CSR overload), so the scaled Laplacian is
-/// never densified on the way to the Fig. 7 circuit — the Trotter backend
-/// now rides the sparse spine like the operator oracle does.
-Circuit build_estimator_circuit_trotter_sparse(
-    const SparseScaledHamiltonian& scaled, const EstimatorOptions& options,
-    bool with_purification) {
-  const QpeLayout layout =
-      make_layout(options, scaled.num_qubits, with_purification);
-  QTDA_REQUIRE(layout.total() <= 30,
-               "register of " << layout.total()
-                              << " qubits exceeds the state-vector budget");
-  Circuit circuit(layout.total());
-  if (with_purification) {
-    append_mixed_state_preparation(circuit, layout.ancilla_wires(),
-                                   layout.system_wires());
-  }
+  // kCircuitExact: dense controlled powers from the eigendecomposition.
+  const HamiltonianExponential exponential(scaled.matrix);
   circuit.append_circuit(
-      build_trotter_qpe(pauli_decompose(scaled.matrix), options, layout));
+      build_qpe_circuit_dense(layout, [&](std::uint64_t power) {
+        return exponential.unitary(static_cast<double>(power));
+      }));
   return circuit;
 }
 
-/// Sparse-oracle variant: the controlled powers are matrix-free operator
-/// gates applying exp(i·p·H) by Chebyshev expansion — no 2^q×2^q matrix is
-/// ever formed, so the budget is the state-vector width itself.
-Circuit build_estimator_circuit_sparse(const SparseScaledHamiltonian& scaled,
-                                       const EstimatorOptions& options,
-                                       bool with_purification) {
-  const QpeLayout layout =
-      make_layout(options, scaled.num_qubits, with_purification);
-  QTDA_REQUIRE(layout.total() <= 30,
-               "register of " << layout.total()
-                              << " qubits exceeds the state-vector budget");
-
-  Circuit circuit(layout.total());
-  if (with_purification) {
-    append_mixed_state_preparation(circuit, layout.ancilla_wires(),
-                                   layout.system_wires());
+/// CSR variants.  Trotter-on-CSR reads the Pauli decomposition straight off
+/// the sparse structure (pauli_decompose's CSR overload), so the scaled
+/// Laplacian is never densified on the way to the Fig. 7 circuit.  The
+/// sparse oracle's controlled powers are matrix-free operator gates applying
+/// exp(i·p·H) by Chebyshev expansion — no 2^q×2^q matrix is ever formed, so
+/// the budget is the state-vector width itself.
+Circuit build_estimator_circuit(const SparseScaledHamiltonian& scaled,
+                                const EstimatorOptions& options) {
+  const QpeLayout layout = make_layout(options, scaled.num_qubits);
+  Circuit circuit = prepared_register(layout, 30, "state-vector budget");
+  if (options.backend == EstimatorBackend::kCircuitTrotter) {
+    circuit.append_circuit(
+        build_trotter_qpe(pauli_decompose(scaled.matrix), options, layout));
+    return circuit;
   }
   // All t controlled powers share one CSR copy of H; each operator owns
   // only its Chebyshev coefficients.
@@ -137,20 +123,42 @@ Circuit build_estimator_circuit_sparse(const SparseScaledHamiltonian& scaled,
   return circuit;
 }
 
-/// Executes a compiled plan through the configured simulator backend and
-/// fills the shot-dependent fields of the estimate.  Shared by the cold
-/// (compile-then-run) and served (cached-plan) paths — which is what makes
-/// the two bit-identical by construction.
-void execute_plan_estimate(BettiEstimate& estimate, const ExecutionPlan& plan,
-                           const QpeLayout& layout,
-                           const EstimatorOptions& options, bool purify,
-                           Rng& rng) {
-  // The whole shot-execution stage: state preparation, plan evolution(s)
-  // and sampling.  Per-op-kind time inside the evolutions lands in the
-  // exec.ns.* counters (see for_each_plan_op_accounted).
+/// The precision-register distribution of a noiseless purification run on
+/// the engine \p options resolves to: the memo slot's when it was evolved on
+/// the same engine kind and precision, otherwise evolved once and stored.
+const std::vector<double>& memoized_distribution(
+    const CompiledEstimate& compiled, const EstimatorOptions& options) {
+  const SimulatorConfig engine = resolve_simulator(
+      options.simulator, options.simulator_shards, options.precision);
+  std::optional<CompiledEstimate::Distribution>& memo = compiled.distribution;
+  if (memo.has_value() && memo->kind == engine.kind &&
+      memo->precision == engine.precision)
+    return memo->probabilities;
+  // Emptied first so a cancelled evolution leaves no stale slot behind.
+  memo.reset();
   QTDA_SPAN("evolve");
-  QTDA_COUNTER_ADD("estimator.estimates", 1);
-  QTDA_COUNTER_ADD("estimator.shots", options.shots);
+  const std::unique_ptr<SimulatorBackend> backend =
+      make_simulator(engine.kind, compiled.plan->num_qubits(), engine.shards,
+                     engine.precision);
+  backend->prepare_basis_state(0);
+  backend->apply_plan(*compiled.plan);
+  memo = CompiledEstimate::Distribution{
+      engine.kind, engine.precision,
+      backend->marginal_probabilities(compiled.layout.precision_wires())};
+  return memo->probabilities;
+}
+
+/// Runs the request-dependent evolutions — noisy trajectories or channels,
+/// and the sampled-basis mixture — through the configured simulator
+/// backend, returning the shots that measured phase 0.
+std::uint64_t execute_plan_zero_counts(const CompiledEstimate& compiled,
+                                       const EstimatorOptions& options,
+                                       Rng& rng) {
+  // Per-op-kind time inside the evolutions lands in the exec.ns.* counters
+  // (see for_each_plan_op_accounted).
+  QTDA_SPAN("evolve");
+  const ExecutionPlan& plan = *compiled.plan;
+  const QpeLayout& layout = compiled.layout;
   const std::vector<std::size_t> measured = layout.precision_wires();
   const std::unique_ptr<SimulatorBackend> backend =
       make_simulator(options.simulator, plan.num_qubits(),
@@ -168,27 +176,27 @@ void execute_plan_estimate(BettiEstimate& estimate, const ExecutionPlan& plan,
   if (!options.noise.is_noiseless() && !exact_channels)
     QTDA_COUNTER_ADD("estimator.trajectories", options.shots);
 
-  if (purify) {
-    if (options.noise.is_noiseless()) {
-      backend->prepare_basis_state(0);
+  // One plan walk from |initial⟩, through the noise model when it is active.
+  const auto evolve = [&](std::uint64_t initial, Rng& noise_rng) {
+    backend->prepare_basis_state(initial);
+    if (options.noise.is_noiseless())
       backend->apply_plan(plan);
-      QTDA_SPAN("sample");
-      estimate.zero_counts = backend->sample(measured, options.shots, rng)[0];
-    } else if (exact_channels) {
-      backend->prepare_basis_state(0);
-      backend->apply_plan_with_noise(plan, options.noise, rng);
-      estimate.zero_counts = backend->sample(measured, options.shots, rng)[0];
-    } else {
-      std::uint64_t zeros = 0;
-      for (std::size_t shot = 0; shot < options.shots; ++shot) {
-        cancel::checkpoint();  // between trajectories: one shot = one plan walk
-        backend->prepare_basis_state(0);
-        backend->apply_plan_with_noise(plan, options.noise, rng);
-        zeros += backend->sample(measured, 1, rng)[0];
-      }
-      estimate.zero_counts = zeros;
+    else
+      backend->apply_plan_with_noise(plan, options.noise, noise_rng);
+  };
+
+  if (compiled.purify) {
+    if (exact_channels) {
+      evolve(0, rng);
+      return backend->sample(measured, options.shots, rng)[0];
     }
-    return;
+    std::uint64_t zeros = 0;
+    for (std::size_t shot = 0; shot < options.shots; ++shot) {
+      cancel::checkpoint();  // between trajectories: one shot = one plan walk
+      evolve(0, rng);
+      zeros += backend->sample(measured, 1, rng)[0];
+    }
+    return zeros;
   }
 
   // Sampled-basis mixture: distribute shots uniformly over the 2^q basis
@@ -206,41 +214,41 @@ void execute_plan_estimate(BettiEstimate& estimate, const ExecutionPlan& plan,
     // System register holds |basis⟩: it occupies wires [t, t+q) which are
     // the top bits below the precision block.
     const std::uint64_t initial = basis << shift;
-    if (options.noise.is_noiseless()) {
-      backend->prepare_basis_state(initial);
-      backend->apply_plan(plan);
+    if (options.noise.is_noiseless() || exact_channels) {
+      evolve(initial, rng);
       zeros += backend->sample(measured, s, rng)[0];
-    } else if (exact_channels) {
-      backend->prepare_basis_state(initial);
-      backend->apply_plan_with_noise(plan, options.noise, rng);
-      zeros += backend->sample(measured, s, rng)[0];
-    } else {
-      for (std::uint64_t shot = 0; shot < s; ++shot) {
-        Rng traj_rng = rng.split(shot * dim + basis);
-        backend->prepare_basis_state(initial);
-        backend->apply_plan_with_noise(plan, options.noise, traj_rng);
-        zeros += backend->sample(measured, 1, rng)[0];
-      }
+      continue;
+    }
+    for (std::uint64_t shot = 0; shot < s; ++shot) {
+      Rng traj_rng = rng.split(shot * dim + basis);
+      evolve(initial, traj_rng);
+      zeros += backend->sample(measured, 1, rng)[0];
     }
   }
-  estimate.zero_counts = zeros;
+  return zeros;
 }
 
-/// Circuit-level convenience: compile once, then execute.  Every shot
-/// batch, sampled-basis state and noise trajectory reuses the one plan
-/// (fused sweeps, precomputed masks/offsets, persistent scratch).  Noisy
-/// runs compile with noise slots preserved so the error placement and RNG
-/// draw order match the uncompiled walk exactly.
-void execute_circuit_estimate(BettiEstimate& estimate, const Circuit& circuit,
-                              const QpeLayout& layout,
-                              const EstimatorOptions& options, bool purify,
-                              Rng& rng) {
-  estimate.total_qubits = circuit.num_qubits();
-  estimate.circuit_gates = circuit.gate_count();
-  estimate.circuit_depth = circuit.depth();
-  const ExecutionPlan plan =
-      compile_circuit(circuit, estimator_compiler_options(options.noise));
-  execute_plan_estimate(estimate, plan, layout, options, purify, rng);
+/// Everything about a plan-based estimate that the scaled Hamiltonian
+/// determines: the bookkeeping, the full QPE circuit and its ExecutionPlan.
+/// Noisy runs compile with noise slots preserved so the error placement and
+/// RNG draw order match the uncompiled walk exactly.
+template <typename Scaled>
+CompiledEstimate compile_scaled(const Scaled& scaled,
+                                const EstimatorOptions& options) {
+  CompiledEstimate compiled;
+  compiled.backend = options.backend;
+  compiled.purify = purifies(options);
+  compiled.layout = make_layout(options, scaled.num_qubits);
+  compiled.system_qubits = scaled.num_qubits;
+  compiled.lambda_max = scaled.lambda_max;
+  compiled.delta = scaled.delta;
+  const Circuit circuit = build_estimator_circuit(scaled, options);
+  compiled.total_qubits = circuit.num_qubits();
+  compiled.circuit_gates = circuit.gate_count();
+  compiled.circuit_depth = circuit.depth();
+  compiled.plan = std::make_shared<const ExecutionPlan>(
+      compile_circuit(circuit, estimator_compiler_options(options.noise)));
+  return compiled;
 }
 
 /// Finalizes p̂(0) → β̃ from the accumulated zero counts.
@@ -280,17 +288,12 @@ Circuit build_qtda_circuit(const RealMatrix& laplacian,
                            const EstimatorOptions& options) {
   QTDA_REQUIRE(options.backend != EstimatorBackend::kAnalytic,
                "the analytic backend has no circuit; pick a circuit backend");
-  const double delta = options.delta > 0.0 ? options.delta : default_delta();
-  const bool purify = options.mixed_state == MixedStateMode::kPurification;
-  if (options.backend == EstimatorBackend::kCircuitSparse) {
-    const SparsePaddedLaplacian padded =
-        pad_laplacian_sparse(dense_to_sparse(laplacian), options.padding);
-    return build_estimator_circuit_sparse(
-        rescale_laplacian_sparse(padded, delta), options, purify);
-  }
-  const PaddedLaplacian padded = pad_laplacian(laplacian, options.padding);
-  const ScaledHamiltonian scaled = rescale_laplacian(padded, delta);
-  return build_estimator_circuit(scaled, options, purify);
+  if (options.backend == EstimatorBackend::kCircuitSparse)
+    return build_qtda_circuit(dense_to_sparse(laplacian), options);
+  return build_estimator_circuit(
+      rescale_laplacian(pad_laplacian(laplacian, options.padding),
+                        delta_of(options)),
+      options);
 }
 
 Circuit build_qtda_circuit(const SparseMatrix& laplacian,
@@ -300,15 +303,10 @@ Circuit build_qtda_circuit(const SparseMatrix& laplacian,
                "the sparse circuit builder supports kCircuitSparse and "
                "kCircuitTrotter; the other backends need the dense matrix — "
                "use the dense overload");
-  const double delta = options.delta > 0.0 ? options.delta : default_delta();
-  const bool purify = options.mixed_state == MixedStateMode::kPurification;
-  const SparsePaddedLaplacian padded =
-      pad_laplacian_sparse(laplacian, options.padding);
-  const SparseScaledHamiltonian scaled =
-      rescale_laplacian_sparse(padded, delta);
-  return options.backend == EstimatorBackend::kCircuitSparse
-             ? build_estimator_circuit_sparse(scaled, options, purify)
-             : build_estimator_circuit_trotter_sparse(scaled, options, purify);
+  return build_estimator_circuit(
+      rescale_laplacian_sparse(pad_laplacian_sparse(laplacian, options.padding),
+                               delta_of(options)),
+      options);
 }
 
 BettiEstimate estimate_betti_from_laplacian(const RealMatrix& laplacian,
@@ -320,41 +318,35 @@ BettiEstimate estimate_betti_from_laplacian(const RealMatrix& laplacian,
                                                 options);
   }
   validate_options(options);
-
-  const PaddedLaplacian padded = pad_laplacian(laplacian, options.padding);
-  const double delta = options.delta > 0.0 ? options.delta : default_delta();
-  const ScaledHamiltonian scaled = rescale_laplacian(padded, delta);
-
-  BettiEstimate estimate;
-  estimate.shots = options.shots;
-  estimate.system_qubits = scaled.num_qubits;
-  estimate.precision_qubits = options.precision_qubits;
-  estimate.lambda_max = scaled.lambda_max;
-  estimate.delta = delta;
+  const ScaledHamiltonian scaled = rescale_laplacian(
+      pad_laplacian(laplacian, options.padding), delta_of(options));
 
   // Analytic reference p(0) of the exact H (used by every backend as the
   // ground-truth probability; the Trotter backend will deviate from it by
   // its splitting error).
-  const RealVector eigenvalues = symmetric_eigenvalues(scaled.matrix);
-  estimate.exact_zero_probability =
-      analytic_zero_probability(eigenvalues, options.precision_qubits);
-
-  Rng rng(options.seed);
-  const std::uint64_t dim = std::uint64_t{1} << scaled.num_qubits;
-  const bool purify = options.mixed_state == MixedStateMode::kPurification;
-
+  const double exact_zero_probability = analytic_zero_probability(
+      symmetric_eigenvalues(scaled.matrix), options.precision_qubits);
   if (options.backend == EstimatorBackend::kAnalytic) {
-    estimate.zero_counts = sample_zero_counts(
-        estimate.exact_zero_probability, options.shots, rng);
-    estimate.total_qubits = options.precision_qubits + scaled.num_qubits +
-                            (purify ? scaled.num_qubits : 0);
-  } else {
-    const Circuit circuit = build_estimator_circuit(scaled, options, purify);
-    const QpeLayout layout = make_layout(options, scaled.num_qubits, purify);
-    execute_circuit_estimate(estimate, circuit, layout, options, purify, rng);
+    BettiEstimate estimate;
+    estimate.shots = options.shots;
+    estimate.system_qubits = scaled.num_qubits;
+    estimate.precision_qubits = options.precision_qubits;
+    estimate.total_qubits = make_layout(options, scaled.num_qubits).total();
+    estimate.lambda_max = scaled.lambda_max;
+    estimate.delta = scaled.delta;
+    estimate.exact_zero_probability = exact_zero_probability;
+    Rng rng(options.seed);
+    estimate.zero_counts =
+        sample_zero_counts(exact_zero_probability, options.shots, rng);
+    finalize_estimate(estimate, options, std::uint64_t{1}
+                                             << scaled.num_qubits);
+    return estimate;
   }
-  finalize_estimate(estimate, options, dim);
-  return estimate;
+  // Dense-oracle and dense-Trotter circuits run the execution path every
+  // plan-based estimate shares.
+  CompiledEstimate compiled = compile_scaled(scaled, options);
+  compiled.exact_zero_probability = exact_zero_probability;
+  return estimate_betti_with_plan(compiled, options);
 }
 
 CompiledEstimate compile_betti_estimate(const SparseMatrix& laplacian,
@@ -367,41 +359,17 @@ CompiledEstimate compile_betti_estimate(const SparseMatrix& laplacian,
                "compile_betti_estimate serves the plan-based circuit "
                "backends (kCircuitSparse, kCircuitTrotter)");
   validate_options(options);
-
-  const SparsePaddedLaplacian padded =
-      pad_laplacian_sparse(laplacian, options.padding);
-  const double delta = options.delta > 0.0 ? options.delta : default_delta();
-  const SparseScaledHamiltonian scaled =
-      rescale_laplacian_sparse(padded, delta);
-
-  CompiledEstimate compiled;
-  compiled.backend = options.backend;
-  compiled.system_qubits = scaled.num_qubits;
-  compiled.lambda_max = scaled.lambda_max;
-  compiled.delta = delta;
-
-  const std::uint64_t dim = std::uint64_t{1} << scaled.num_qubits;
-  if (dim <= options.exact_reference_max_dim) {
+  const SparseScaledHamiltonian scaled = rescale_laplacian_sparse(
+      pad_laplacian_sparse(laplacian, options.padding), delta_of(options));
+  CompiledEstimate compiled = compile_scaled(scaled, options);
+  if ((std::uint64_t{1} << scaled.num_qubits) <=
+      options.exact_reference_max_dim) {
     // Diagnostic dense eigensolve, feasible only at small q; the estimate
     // itself is matrix-free.
-    const RealVector eigenvalues =
-        symmetric_eigenvalues(scaled.matrix.to_dense());
-    compiled.exact_zero_probability =
-        analytic_zero_probability(eigenvalues, options.precision_qubits);
+    compiled.exact_zero_probability = analytic_zero_probability(
+        symmetric_eigenvalues(scaled.matrix.to_dense()),
+        options.precision_qubits);
   }
-
-  compiled.purify = options.mixed_state == MixedStateMode::kPurification;
-  const Circuit circuit =
-      options.backend == EstimatorBackend::kCircuitSparse
-          ? build_estimator_circuit_sparse(scaled, options, compiled.purify)
-          : build_estimator_circuit_trotter_sparse(scaled, options,
-                                                   compiled.purify);
-  compiled.layout = make_layout(options, scaled.num_qubits, compiled.purify);
-  compiled.total_qubits = circuit.num_qubits();
-  compiled.circuit_gates = circuit.gate_count();
-  compiled.circuit_depth = circuit.depth();
-  compiled.plan = std::make_shared<const ExecutionPlan>(
-      compile_circuit(circuit, estimator_compiler_options(options.noise)));
   return compiled;
 }
 
@@ -414,8 +382,7 @@ BettiEstimate estimate_betti_with_plan(const CompiledEstimate& compiled,
   QTDA_REQUIRE(options.precision_qubits == compiled.layout.precision_qubits,
                "estimate options changed the precision register after "
                "compilation");
-  QTDA_REQUIRE((options.mixed_state == MixedStateMode::kPurification) ==
-                   compiled.purify,
+  QTDA_REQUIRE(purifies(options) == compiled.purify,
                "estimate options changed the mixed-state mode after "
                "compilation");
   QTDA_REQUIRE(options.noise.is_noiseless() ||
@@ -434,9 +401,18 @@ BettiEstimate estimate_betti_with_plan(const CompiledEstimate& compiled,
   estimate.circuit_gates = compiled.circuit_gates;
   estimate.circuit_depth = compiled.circuit_depth;
 
+  QTDA_COUNTER_ADD("estimator.estimates", 1);
+  QTDA_COUNTER_ADD("estimator.shots", options.shots);
   Rng rng(options.seed);
-  execute_plan_estimate(estimate, *compiled.plan, compiled.layout, options,
-                        compiled.purify, rng);
+  if (compiled.purify && options.noise.is_noiseless()) {
+    const std::vector<double>& distribution =
+        memoized_distribution(compiled, options);
+    QTDA_SPAN("sample");
+    estimate.zero_counts =
+        multinomial_sample(distribution, options.shots, rng)[0];
+  } else {
+    estimate.zero_counts = execute_plan_zero_counts(compiled, options, rng);
+  }
   finalize_estimate(estimate, options,
                     std::uint64_t{1} << compiled.system_qubits);
   return estimate;
@@ -446,63 +422,23 @@ std::vector<BettiEstimate> estimate_betti_batch(
     const CompiledEstimate& compiled,
     const std::vector<EstimatorOptions>& requests) {
   QTDA_REQUIRE(!requests.empty(), "estimate_betti_batch needs requests");
-  QTDA_REQUIRE(compiled.plan != nullptr, "CompiledEstimate carries no plan");
   QTDA_REQUIRE(compiled.purify,
                "batched execution needs purification circuits (the "
                "sampled-basis mixture draws its basis states per request)");
   const EstimatorOptions& first = requests.front();
   for (const EstimatorOptions& options : requests) {
-    validate_options(options);
     QTDA_REQUIRE(options.noise.is_noiseless(),
                  "batched execution shares one evolution; noise makes the "
                  "evolution request-dependent");
-    QTDA_REQUIRE(options.backend == compiled.backend &&
-                     options.precision_qubits ==
-                         compiled.layout.precision_qubits &&
-                     options.mixed_state == MixedStateMode::kPurification,
-                 "batched request is not plan-compatible");
     QTDA_REQUIRE(options.simulator == first.simulator &&
                      options.simulator_shards == first.simulator_shards &&
                      options.precision == first.precision,
                  "batched requests must share the simulation engine");
   }
-
-  // One deterministic evolution...
-  const std::unique_ptr<SimulatorBackend> backend =
-      make_simulator(first.simulator, compiled.plan->num_qubits(),
-                     first.simulator_shards, first.precision);
-  {
-    QTDA_SPAN("evolve");
-    backend->prepare_basis_state(0);
-    backend->apply_plan(*compiled.plan);
-  }
-  QTDA_COUNTER_ADD("estimator.estimates", requests.size());
-
-  // ...then per-request sampling, each from its own seed exactly as the
-  // serial path would (sampling reads the final probabilities and never
-  // perturbs the register, so request order cannot leak between requests).
-  const std::vector<std::size_t> measured = compiled.layout.precision_wires();
-  QTDA_SPAN("sample");
   std::vector<BettiEstimate> estimates;
   estimates.reserve(requests.size());
-  for (const EstimatorOptions& options : requests) {
-    QTDA_COUNTER_ADD("estimator.shots", options.shots);
-    BettiEstimate estimate;
-    estimate.shots = options.shots;
-    estimate.system_qubits = compiled.system_qubits;
-    estimate.precision_qubits = options.precision_qubits;
-    estimate.lambda_max = compiled.lambda_max;
-    estimate.delta = compiled.delta;
-    estimate.exact_zero_probability = compiled.exact_zero_probability;
-    estimate.total_qubits = compiled.total_qubits;
-    estimate.circuit_gates = compiled.circuit_gates;
-    estimate.circuit_depth = compiled.circuit_depth;
-    Rng rng(options.seed);
-    estimate.zero_counts = backend->sample(measured, options.shots, rng)[0];
-    finalize_estimate(estimate, options,
-                      std::uint64_t{1} << compiled.system_qubits);
-    estimates.push_back(estimate);
-  }
+  for (const EstimatorOptions& options : requests)
+    estimates.push_back(estimate_betti_with_plan(compiled, options));
   return estimates;
 }
 

@@ -29,9 +29,9 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-
 #include <memory>
+#include <optional>
+#include <vector>
 
 #include "common/random.hpp"
 #include "core/analytic_qpe.hpp"
@@ -149,9 +149,9 @@ Circuit build_qtda_circuit(const SparseMatrix& laplacian,
 /// (the serving layer's bit-identity contract).
 ///
 /// A CompiledEstimate may be shared across threads, but executions of one
-/// instance must be externally serialized: the plan's scratch arena is
-/// shared mutable state (same one-executor-at-a-time contract as
-/// ExecutionPlan itself).
+/// instance must be externally serialized: the plan's scratch arena and the
+/// distribution memo are shared mutable state (same one-executor-at-a-time
+/// contract as ExecutionPlan itself).
 struct CompiledEstimate {
   std::shared_ptr<const ExecutionPlan> plan;
   QpeLayout layout;
@@ -165,11 +165,26 @@ struct CompiledEstimate {
   double delta = 0.0;
   double exact_zero_probability = 0.0;  ///< 0 when the eigensolve was skipped
 
-  /// Approximate resident size (plan + bookkeeping) — the byte-accounting
-  /// unit of the serving layer's artifact cache.
+  /// Memo slot.  A noiseless purification run is a deterministic function
+  /// of the plan and the engine, and every engine samples the
+  /// precision-register marginal, so the first such run stores the marginal
+  /// here and later runs on the same engine kind and precision only sample
+  /// it (bit-identical).  A run on another engine replaces the slot; a
+  /// cancelled evolution leaves it empty.
+  struct Distribution {
+    SimulatorKind kind = SimulatorKind::kStatevector;
+    Precision precision = Precision::kFloat64;
+    std::vector<double> probabilities;  ///< 2^t entries
+  };
+  mutable std::optional<Distribution> distribution;
+
+  /// Approximate resident size (plan + bookkeeping + the memo slot, counted
+  /// from compile time) — the byte-accounting unit of the serving layer's
+  /// artifact cache.
   std::size_t memory_bytes() const {
     return sizeof(CompiledEstimate) +
-           (plan == nullptr ? 0 : plan->memory_bytes());
+           (plan == nullptr ? 0 : plan->memory_bytes()) +
+           (purify ? sizeof(double) << layout.precision_qubits : 0);
   }
 };
 
@@ -186,19 +201,16 @@ CompiledEstimate compile_betti_estimate(const SparseMatrix& laplacian,
 /// backend, precision qubits, mixed-state mode, and — when noisy — a plan
 /// compiled with noise slots); shots, seed, simulator kind/shards and
 /// amplitude precision are free to vary per call.  Bit-identical to running
-/// estimate_betti_from_sparse_laplacian with the same options.
+/// estimate_betti_from_sparse_laplacian with the same options.  Noiseless
+/// purification runs evolve only on a CompiledEstimate::distribution miss.
 BettiEstimate estimate_betti_with_plan(const CompiledEstimate& compiled,
                                        const EstimatorOptions& options);
 
-/// Executes one compiled estimate for many requests off a single state
-/// evolution.  Restricted to the batchable regime: noiseless purification
-/// circuits, where the final state is a deterministic function of the plan —
-/// so one evolution followed by per-request shot sampling (each request's
-/// own Rng seeded from its own seed, in request order) is *bit-identical* to
-/// running estimate_betti_with_plan once per request.  Every request must be
-/// plan-compatible (same checks as estimate_betti_with_plan) and share the
-/// simulator kind, shard count, and amplitude precision; shots and seed are
-/// free to vary.  Returns the estimates in request order.
+/// Executes one compiled estimate for many requests, in request order: a
+/// checked loop over estimate_betti_with_plan, restricted to the regime the
+/// memo serves (noiseless purification circuits, one engine for every
+/// request), so the whole batch costs at most one evolution.  Shots and seed
+/// are free to vary.
 std::vector<BettiEstimate> estimate_betti_batch(
     const CompiledEstimate& compiled,
     const std::vector<EstimatorOptions>& requests);

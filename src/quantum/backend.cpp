@@ -405,30 +405,28 @@ std::unique_ptr<SimulatorBackend> make_simulator_at(SimulatorKind kind,
 
 }  // namespace
 
-std::unique_ptr<SimulatorBackend> make_simulator(SimulatorKind kind,
-                                                 std::size_t num_qubits,
-                                                 std::size_t shards,
-                                                 Precision precision) {
+SimulatorConfig resolve_simulator(SimulatorKind kind, std::size_t shards,
+                                  Precision precision) {
   // CI / debugging hook: force every factory-built engine onto one kind,
   // shard count and precision without touching call sites.  Safe for the
   // sharded engine (bit-identical to the dense one); the density-matrix
-  // engine additionally needs the width guard below because of its 4^n
-  // storage cap.
-  bool kind_forced_by_env = false;
+  // engine additionally needs make_simulator's width guard because of its
+  // 4^n storage cap.
+  SimulatorConfig config{kind, shards, precision, false};
   if (const char* forced = std::getenv("QTDA_SIMULATOR");
       forced != nullptr && *forced != '\0') {
     // Re-raise parse failures with the variable named: a malformed override
     // set process-wide (e.g. by CI) must not surface as a bare unknown-name
     // error with no hint where the name came from.
     try {
-      kind = simulator_kind_from_name(forced);
+      config.kind = simulator_kind_from_name(forced);
     } catch (const Error&) {
       QTDA_REQUIRE(false, "QTDA_SIMULATOR=\""
                               << forced
                               << "\" is not a valid simulator name (valid: "
                               << simulator_kind_names() << ")");
     }
-    kind_forced_by_env = true;
+    config.kind_forced = true;
   }
   if (const char* forced = std::getenv("QTDA_SHARDS");
       forced != nullptr && *forced != '\0') {
@@ -438,31 +436,41 @@ std::unique_ptr<SimulatorBackend> make_simulator(SimulatorKind kind,
                  "QTDA_SHARDS=\"" << forced
                                   << "\" is not a valid shard count (need an "
                                      "integer >= 1)");
-    shards = static_cast<std::size_t>(value);
+    config.shards = static_cast<std::size_t>(value);
   }
   // Throws with the variable named on malformed values (see precision.hpp).
   if (const std::optional<Precision> forced = precision_from_env())
-    precision = *forced;
+    config.precision = *forced;
   // Validate QTDA_SIMD eagerly too: a typo'd SIMD override should fail at
   // engine construction, attributed to its variable, not when the first hot
   // kernel dispatches.
   (void)simd_level_from_env();
-  if (kind == SimulatorKind::kDensityMatrix &&
+  return config;
+}
+
+std::unique_ptr<SimulatorBackend> make_simulator(SimulatorKind kind,
+                                                 std::size_t num_qubits,
+                                                 std::size_t shards,
+                                                 Precision precision) {
+  const SimulatorConfig config = resolve_simulator(kind, shards, precision);
+  if (config.kind == SimulatorKind::kDensityMatrix &&
       num_qubits > kDensityMatrixMaxQubits) {
     QTDA_REQUIRE(false,
                  "the density-matrix simulator stores 4^n amplitudes and "
                  "supports at most "
                      << kDensityMatrixMaxQubits << " qubits, but "
                      << num_qubits << " were requested"
-                     << (kind_forced_by_env
+                     << (config.kind_forced
                              ? " (QTDA_SIMULATOR=density-matrix forced the "
                                "engine; unset it or use a statevector engine "
                                "for registers this wide)"
                              : ""));
   }
-  return precision == Precision::kFloat64
-             ? make_simulator_at<double>(kind, num_qubits, shards)
-             : make_simulator_at<float>(kind, num_qubits, shards);
+  return config.precision == Precision::kFloat64
+             ? make_simulator_at<double>(config.kind, num_qubits,
+                                         config.shards)
+             : make_simulator_at<float>(config.kind, num_qubits,
+                                        config.shards);
 }
 
 }  // namespace qtda

@@ -266,17 +266,30 @@ extern template class BasicShardedStatevectorBackend<float>;
 extern template class BasicDensityMatrixBackend<double>;
 extern template class BasicDensityMatrixBackend<float>;
 
+/// The engine a factory call builds once the environment overrides apply.
+struct SimulatorConfig {
+  SimulatorKind kind = SimulatorKind::kStatevector;
+  std::size_t shards = 0;
+  Precision precision = Precision::kFloat64;
+  bool kind_forced = false;  ///< QTDA_SIMULATOR chose the kind
+};
+
+/// Applies the environment overrides below to a requested engine: callers
+/// that key results on the engine see exactly what make_simulator builds.
+SimulatorConfig resolve_simulator(SimulatorKind kind, std::size_t shards,
+                                  Precision precision);
+
 /// Factory used by the estimator options plumbing.  \p shards only matters
 /// for kShardedStatevector (0 = one slab per hardware thread); \p precision
 /// selects the amplitude scalar (complex128 by default).
 ///
-/// Environment overrides (read per call): QTDA_SIMULATOR forces the engine
-/// by name, QTDA_SHARDS forces the slab count, and QTDA_PRECISION forces
-/// the scalar width — the hooks the CI legs use to route the whole
-/// unmodified test suite through the sharded engine or the complex64
-/// engines.  QTDA_SIMD is validated eagerly here too, so a malformed SIMD
-/// override fails at backend construction with the variable named instead
-/// of deep inside the first hot kernel.  Malformed values fail fast with
+/// Environment overrides (read per call, see resolve_simulator):
+/// QTDA_SIMULATOR forces the engine by name, QTDA_SHARDS forces the slab
+/// count, and QTDA_PRECISION forces the scalar width — the hooks the CI legs
+/// use to route the whole unmodified test suite through the sharded engine
+/// or the complex64 engines.  QTDA_SIMD is validated eagerly here too, so a
+/// malformed SIMD override fails at backend construction with the variable
+/// named instead of deep inside the first hot kernel.  Malformed values fail fast with
 /// the variable named in the error, and forcing density-matrix onto a
 /// register wider than its 13-qubit 4^n storage cap is rejected here
 /// (clearly attributed to the override) instead of surfacing a construction

@@ -34,6 +34,15 @@ EstimateResponse make_error(std::string id, ServeErrorCode code,
   return response;
 }
 
+/// Logs \p error in full under \p context and returns the text the wire
+/// may carry: without the source location a qtda error's what() starts with.
+std::string logged_wire_message(const char* context,
+                                const std::exception& error) {
+  QTDA_ERROR << context << ": " << error.what();
+  const auto* located = dynamic_cast<const Error*>(&error);
+  return located != nullptr ? located->message() : error.what();
+}
+
 /// Best-effort id extraction from a raw request line (for errors on lines
 /// that never reach parse_request, like oversized frames).
 std::string request_id_of(const std::string& line) {
@@ -246,14 +255,14 @@ void BettiServer::reader_loop(std::shared_ptr<Connection> connection) {
         }
       }
     } catch (const std::exception& error) {
-      QTDA_ERROR << "protocol error: " << error.what();
       // Deliberately id-less even when the line carried an id= token: a
       // line that failed to classify or parse may be a corrupted frame, and
       // attributing a non-retryable error to an id extracted from corrupt
       // bytes would mis-answer some other request.  Clients recover via
       // their per-attempt timeout.
       connection->write_line(format_response(
-          make_error("", ServeErrorCode::kProtocol, error.what())));
+          make_error("", ServeErrorCode::kProtocol,
+                     logged_wire_message("protocol error", error))));
     }
   }
 }
@@ -299,6 +308,7 @@ void BettiServer::worker_loop() {
         }
       }
     }
+    if (before_execute_) before_execute_();
     if (telemetry::enabled()) {
       queue_depth_gauge().add(-static_cast<std::int64_t>(batch.size()));
       for (const Pending& pending : batch)
@@ -414,7 +424,7 @@ EstimateResponse BettiServer::execute_single(const EstimateRequest& request) {
     errors_.fetch_add(1);
   } catch (const std::exception& error) {
     response = make_error(request.id, ServeErrorCode::kInternal,
-                          error.what());
+                          logged_wire_message("internal error", error));
     errors_.fetch_add(1);
   } catch (...) {
     // Poison request: even a non-standard exception must not take the
@@ -543,11 +553,12 @@ void BettiServer::execute_batch(std::vector<Pending> batch) {
                                         "deadline exceeded during execution")));
     }
   } catch (const std::exception& error) {
+    const std::string message = logged_wire_message("internal error", error);
     for (const Pending& pending : live) {
       errors_.fetch_add(1);
       finish(pending, format_response(make_error(pending.request.id,
                                                  ServeErrorCode::kInternal,
-                                                 error.what())));
+                                                 message)));
     }
   }
 }

@@ -39,6 +39,7 @@
 #include <atomic>
 #include <chrono>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -155,6 +156,11 @@ class BettiServer {
   std::string stats_line() const;
   std::string metrics_json_line() const;
   std::string metrics_prometheus_text() const;
+
+  friend struct BettiServerTestAccess;
+  /// Test seam, set only through BettiServerTestAccess before start(): runs
+  /// on a worker after it dequeues a batch, before executing it.
+  std::function<void()> before_execute_;
 
   ServerOptions options_;
   ArtifactStore store_;

@@ -9,6 +9,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -24,6 +26,15 @@
 #include "serve/transport.hpp"
 
 namespace qtda {
+
+/// Reaches BettiServer's worker seam: \p hold runs on a worker after it
+/// dequeues a batch and before it executes it.
+struct BettiServerTestAccess {
+  static void hold_workers(BettiServer& server, std::function<void()> hold) {
+    server.before_execute_ = std::move(hold);
+  }
+};
+
 namespace {
 
 std::vector<std::vector<double>> circle_points(std::size_t n) {
@@ -339,6 +350,22 @@ TEST(Server, ShedsPastQueueBoundWithRetryableOverloaded) {
   options.max_queue = 1;
   options.shed_retry_after_ms = 3;
   BettiServer server(options);
+  // The single worker is held in its first execution until the reader has
+  // admitted or shed the whole burst, so shedding never depends on how fast
+  // the worker drains the queue.  The guard releases it on every exit path
+  // (it is destroyed before the server, whose stop() joins the worker).
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  BettiServerTestAccess::hold_workers(server, [released] { released.wait(); });
+  struct ReleaseGuard {
+    std::promise<void>& release;
+    bool done = false;
+    void operator()() {
+      if (!done) release.set_value();
+      done = true;
+    }
+    ~ReleaseGuard() { (*this)(); }
+  } release_worker{release};
   LoopbackTransport transport;
   server.start(transport);
 
@@ -351,6 +378,16 @@ TEST(Server, ShedsPastQueueBoundWithRetryableOverloaded) {
     request.id = "F" + std::to_string(i);
     ASSERT_TRUE(connection->write_line(format_request(request)));
   }
+  const auto decided = [&server] {
+    const ServerStats stats = server.stats();
+    return stats.admitted + stats.shed;
+  };
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (decided() < static_cast<std::size_t>(kBurst) &&
+         std::chrono::steady_clock::now() < give_up)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  release_worker();
   int ok = 0, overloaded = 0;
   for (int i = 0; i < kBurst; ++i) {
     const std::optional<std::string> line = connection->read_line();

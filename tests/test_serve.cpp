@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -14,7 +15,9 @@
 #include <thread>
 #include <vector>
 
+#include "common/cancel.hpp"
 #include "common/error.hpp"
+#include "common/telemetry.hpp"
 #include "core/betti_estimator.hpp"
 #include "linalg/expm_multiply.hpp"
 #include "linalg/matrix_exp.hpp"
@@ -489,6 +492,223 @@ TEST(ServeBatch, RejectsRequestsOutsideTheBatchableRegime) {
   EXPECT_THROW(estimate_betti_batch(compiled, {base, f32}), Error);
 }
 
+// ----------------------------------------------------- distribution memo
+
+/// The 8-vertex ring's k=1 Laplacian: 8 edges, q = 3 system qubits.
+SparseMatrix ring_laplacian() {
+  return sparse_combinatorial_laplacian(
+      rips_complex(PointCloud(circle_points(8)), 1.0, 2), 1);
+}
+
+void expect_bit_identical(const BettiEstimate& actual,
+                          const BettiEstimate& expected) {
+  EXPECT_EQ(actual.zero_counts, expected.zero_counts);
+  EXPECT_EQ(actual.zero_probability, expected.zero_probability);
+  EXPECT_EQ(actual.estimated_betti, expected.estimated_betti);
+  EXPECT_EQ(actual.rounded_betti, expected.rounded_betti);
+  EXPECT_EQ(actual.exact_zero_probability, expected.exact_zero_probability);
+  EXPECT_EQ(actual.shots, expected.shots);
+  EXPECT_EQ(actual.total_qubits, expected.total_qubits);
+  EXPECT_EQ(actual.circuit_gates, expected.circuit_gates);
+}
+
+/// Counts `evolve` spans (real state evolutions) from construction on.
+class EvolutionCounter {
+ public:
+  EvolutionCounter() : was_enabled_(telemetry::enabled()) {
+    telemetry::set_enabled(true);
+    before_ = evolve_.snapshot().count;
+  }
+  ~EvolutionCounter() { telemetry::set_enabled(was_enabled_); }
+  EvolutionCounter(const EvolutionCounter&) = delete;
+  EvolutionCounter& operator=(const EvolutionCounter&) = delete;
+
+  std::uint64_t count() const { return evolve_.snapshot().count - before_; }
+
+ private:
+  telemetry::Histogram& evolve_ =
+      telemetry::registry().histogram("span.evolve");
+  bool was_enabled_;
+  std::uint64_t before_ = 0;
+};
+
+TEST(ServeMemo, MemoHitsAreBitIdenticalToTheColdPath) {
+  ScopedSimulatorEnv env;
+  ScopedSimulatorEnv::clear();
+  const SparseMatrix laplacian = ring_laplacian();
+  struct Engine {
+    SimulatorKind kind;
+    std::size_t shards;
+  };
+  const Engine engines[] = {{SimulatorKind::kStatevector, 0},
+                            {SimulatorKind::kShardedStatevector, 1},
+                            {SimulatorKind::kShardedStatevector, 3},
+                            {SimulatorKind::kDensityMatrix, 0}};
+  for (const Engine& engine : engines) {
+    for (const Precision precision :
+         {Precision::kFloat64, Precision::kFloat32}) {
+      EstimatorOptions options = sparse_options();
+      options.simulator = engine.kind;
+      options.simulator_shards = engine.shards;
+      options.precision = precision;
+      const CompiledEstimate compiled =
+          compile_betti_estimate(laplacian, options);
+      // The first execution fills the memo; every call below is a hit.
+      estimate_betti_with_plan(compiled, options);
+      ASSERT_TRUE(compiled.distribution.has_value());
+      for (const std::uint64_t seed : {7u, 11u}) {
+        for (const std::size_t shots : {1u, 100u, 4096u}) {
+          SCOPED_TRACE(simulator_kind_name(engine.kind) + " shards=" +
+                       std::to_string(engine.shards) + " " +
+                       precision_name(precision) + " seed=" +
+                       std::to_string(seed) + " shots=" +
+                       std::to_string(shots));
+          options.seed = seed;
+          options.shots = shots;
+          const BettiEstimate cold =
+              estimate_betti_from_sparse_laplacian(laplacian, options);
+          for (int hit = 0; hit < 2; ++hit)
+            expect_bit_identical(estimate_betti_with_plan(compiled, options),
+                                 cold);
+        }
+      }
+    }
+  }
+}
+
+TEST(ServeMemo, SwitchingEngineOrPrecisionReplacesTheSlot) {
+  ScopedSimulatorEnv env;
+  ScopedSimulatorEnv::clear();
+  unsetenv("QTDA_PRECISION");  // the precision switch below must be real
+  const SparseMatrix laplacian = ring_laplacian();
+  const EstimatorOptions f64 = sparse_options();
+  EstimatorOptions f32 = f64;
+  f32.precision = Precision::kFloat32;
+  EstimatorOptions density = f64;
+  density.simulator = SimulatorKind::kDensityMatrix;
+  const CompiledEstimate compiled = compile_betti_estimate(laplacian, f64);
+
+  EvolutionCounter evolutions;
+  std::uint64_t expected = 0;
+  const auto run = [&](const EstimatorOptions& options, bool evolves) {
+    expected += evolves ? 1 : 0;
+    const BettiEstimate cold =
+        estimate_betti_from_sparse_laplacian(laplacian, options);
+    ++expected;  // the cold path compiles a fresh plan and evolves it
+    expect_bit_identical(estimate_betti_with_plan(compiled, options), cold);
+    EXPECT_EQ(evolutions.count(), expected);
+  };
+  run(f64, true);
+  run(f64, false);
+  run(f32, true);
+  run(f32, false);
+  run(density, true);
+  run(f64, true);
+
+  // The override changes the engine that runs, so it changes the key too.
+  setenv("QTDA_SIMULATOR", "density-matrix", 1);
+  run(f64, true);
+  run(f64, false);
+  unsetenv("QTDA_SIMULATOR");
+  run(f64, true);
+}
+
+TEST(ServeMemo, NoisyAndSampledBasisRequestsBypassTheMemo) {
+  const SparseMatrix laplacian = ring_laplacian();
+  EstimatorOptions noisy = sparse_options();
+  noisy.noise.single_qubit_error = 0.01;
+  noisy.noise.two_qubit_error = 0.01;
+  noisy.shots = 16;
+  // A noise-slot plan also serves noiseless requests: fill its memo first,
+  // then check the noisy run still evolves and is unchanged.
+  const CompiledEstimate noise_plan = compile_betti_estimate(laplacian, noisy);
+  EstimatorOptions noiseless = noisy;
+  noiseless.noise = NoiseModel{};
+  estimate_betti_with_plan(noise_plan, noiseless);
+  ASSERT_TRUE(noise_plan.distribution.has_value());
+  {
+    EvolutionCounter evolutions;
+    expect_bit_identical(
+        estimate_betti_with_plan(noise_plan, noisy),
+        estimate_betti_from_sparse_laplacian(laplacian, noisy));
+    EXPECT_EQ(evolutions.count(), 2u);  // the memo served neither run
+  }
+
+  EstimatorOptions sampled = sparse_options();
+  sampled.mixed_state = MixedStateMode::kSampledBasis;
+  const CompiledEstimate sampled_plan =
+      compile_betti_estimate(laplacian, sampled);
+  for (int run = 0; run < 2; ++run) {
+    expect_bit_identical(
+        estimate_betti_with_plan(sampled_plan, sampled),
+        estimate_betti_from_sparse_laplacian(laplacian, sampled));
+    EXPECT_FALSE(sampled_plan.distribution.has_value());
+  }
+}
+
+TEST(ServeMemo, CancelledEvolutionLeavesTheMemoEmpty) {
+  const SparseMatrix laplacian = ring_laplacian();
+  const EstimatorOptions options = sparse_options();
+  const CompiledEstimate compiled = compile_betti_estimate(laplacian, options);
+  {
+    const cancel::ScopedDeadline expired(std::chrono::steady_clock::now() -
+                                         std::chrono::seconds(1));
+    EXPECT_THROW(estimate_betti_with_plan(compiled, options), CancelledError);
+  }
+  EXPECT_FALSE(compiled.distribution.has_value());
+  expect_bit_identical(
+      estimate_betti_with_plan(compiled, options),
+      estimate_betti_from_sparse_laplacian(laplacian, options));
+  EXPECT_TRUE(compiled.distribution.has_value());
+}
+
+TEST(ServeMemo, ServerEvolvesOncePerDistinctPlan) {
+  BettiServer server;
+  EvolutionCounter evolutions;
+  for (const std::size_t t : {2u, 3u}) {
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      EstimateRequest request;
+      request.points = circle_points(8);
+      request.epsilon = 1.0;
+      request.k = 1;
+      request.options = sparse_options();
+      request.options.precision_qubits = t;
+      request.options.seed = seed;
+      const EstimateResponse response = server.handle(request);
+      ASSERT_TRUE(response.ok) << response.error;
+    }
+  }
+  EXPECT_EQ(evolutions.count(), 2u);  // ten requests on two plans (t = 2, 3)
+}
+
+TEST(ServeMemo, MemoryBytesCountTheSlotFromCompileTime) {
+  const SparseMatrix laplacian = ring_laplacian();
+  const EstimatorOptions options = sparse_options();  // t = 3
+  const CompiledEstimate compiled = compile_betti_estimate(laplacian, options);
+  // The plan's scratch arena may grow on first execution; the slot's share
+  // is fixed at compile time.
+  const auto slot_bytes = [&compiled] {
+    return compiled.memory_bytes() - sizeof(CompiledEstimate) -
+           compiled.plan->memory_bytes();
+  };
+  EXPECT_EQ(slot_bytes(),
+            (std::size_t{1} << options.precision_qubits) * sizeof(double));
+  estimate_betti_with_plan(compiled, options);
+  ASSERT_TRUE(compiled.distribution.has_value());
+  EXPECT_EQ(compiled.distribution->probabilities.size(),
+            std::size_t{1} << options.precision_qubits);
+  EXPECT_EQ(slot_bytes(),
+            (std::size_t{1} << options.precision_qubits) * sizeof(double));
+
+  // Sampled-basis plans never fill the slot, so they do not pay for it.
+  EstimatorOptions sampled = options;
+  sampled.mixed_state = MixedStateMode::kSampledBasis;
+  const CompiledEstimate sampled_plan =
+      compile_betti_estimate(laplacian, sampled);
+  EXPECT_EQ(sampled_plan.memory_bytes(),
+            sizeof(CompiledEstimate) + sampled_plan.plan->memory_bytes());
+}
+
 // ------------------------------------------------------------ loopback serve
 
 TEST(ServeServer, ConcurrentLoopbackClientsGetBitIdenticalAnswers) {
@@ -547,6 +767,39 @@ TEST(ServeServer, ConcurrentLoopbackClientsGetBitIdenticalAnswers) {
   const ServerStats totals = server.stats();
   EXPECT_GE(totals.admitted, static_cast<std::size_t>(kThreads * kPerThread));
   EXPECT_EQ(totals.errors, 0u);
+}
+
+TEST(ServeServer, InternalErrorsCarryNoSourceLocation) {
+  // A 14-qubit register on the density-matrix engine (at most 13 qubits)
+  // fails inside the estimator, after every admission check passed.
+  ScopedSimulatorEnv env;
+  ScopedSimulatorEnv::clear();
+  BettiServer server;
+  LoopbackTransport transport;
+  server.start(transport);
+  EstimateRequest request;
+  request.id = "wide";
+  request.points = circle_points(8);  // q = 3: t + 2q = 14 qubits
+  request.epsilon = 1.0;
+  request.k = 1;
+  request.options = sparse_options();
+  request.options.precision_qubits = 8;
+  request.options.simulator = SimulatorKind::kDensityMatrix;
+  std::shared_ptr<Connection> connection = transport.connect();
+  ASSERT_TRUE(connection->write_line(format_request(request)));
+  const std::optional<std::string> reply = connection->read_line();
+  ASSERT_TRUE(reply.has_value());
+  const EstimateResponse response = parse_response(*reply);
+  EXPECT_FALSE(response.ok);
+  EXPECT_EQ(response.code, ServeErrorCode::kInternal) << response.error;
+  EXPECT_FALSE(response.retryable);
+  EXPECT_NE(response.error.find("density-matrix"), std::string::npos)
+      << response.error;
+  EXPECT_EQ(response.error.find(".cpp:"), std::string::npos) << response.error;
+  EXPECT_EQ(response.error.find(".hpp:"), std::string::npos) << response.error;
+  EXPECT_NE(response.error.front(), '/') << response.error;
+  EXPECT_EQ(response.error.find(" /"), std::string::npos) << response.error;
+  server.stop();
 }
 
 // --------------------------------------------------------- expm memo bounds
