@@ -351,8 +351,9 @@ BettiEstimate estimate_betti_from_laplacian(const RealMatrix& laplacian,
 
 CompiledEstimate compile_betti_estimate(const SparseMatrix& laplacian,
                                         const EstimatorOptions& options) {
-  // Covers padding/rescaling, the diagnostic eigensolve, circuit synthesis
-  // and plan compilation (compile_circuit nests its own "compile" span).
+  // Covers padding/rescaling, circuit synthesis, plan compilation
+  // (compile_circuit nests its own "compile" span) and the diagnostic
+  // eigensolve (its own "exact_reference" span).
   QTDA_SPAN("compile_estimate");
   QTDA_REQUIRE(options.backend == EstimatorBackend::kCircuitSparse ||
                    options.backend == EstimatorBackend::kCircuitTrotter,
@@ -364,11 +365,11 @@ CompiledEstimate compile_betti_estimate(const SparseMatrix& laplacian,
   CompiledEstimate compiled = compile_scaled(scaled, options);
   if ((std::uint64_t{1} << scaled.num_qubits) <=
       options.exact_reference_max_dim) {
-    // Diagnostic dense eigensolve, feasible only at small q; the estimate
-    // itself is matrix-free.
+    // Diagnostic eigensolve, run per connected block of the sparse matrix;
+    // the estimate itself is matrix-free.
+    QTDA_SPAN("exact_reference");
     compiled.exact_zero_probability = analytic_zero_probability(
-        symmetric_eigenvalues(scaled.matrix.to_dense()),
-        options.precision_qubits);
+        symmetric_eigenvalues(scaled.matrix), options.precision_qubits);
   }
   return compiled;
 }

@@ -93,9 +93,11 @@ struct EstimatorOptions {
   TrotterOptions trotter;
   NoiseModel noise;                  ///< only honoured by circuit backends
   std::uint64_t seed = 42;           ///< shot-sampling RNG seed
-  /// kCircuitSparse only: skip the dense eigensolve that fills
+  /// kCircuitSparse only: skip the Jacobi eigensolve that fills
   /// exact_zero_probability once 2^q exceeds this (the estimate itself
-  /// never needs it; the reference value is a diagnostic).
+  /// never needs it; the reference value is a diagnostic).  The solve runs
+  /// per connected block of the padded Laplacian, so its cost is bounded by
+  /// the largest block (Σ n_b³ per sweep), not by 2^q.
   std::size_t exact_reference_max_dim = 4096;
 };
 

@@ -4,8 +4,9 @@
 /// Boundary operators ∂_k have exactly k+1 nonzeros per column, so the
 /// whole Δ_k = ∂†∂ + ∂∂† chain can stay sparse end to end: symmetric CSR
 /// products assemble the Laplacian without densifying, and the complex
-/// matvec feeds the matrix-free exp(iθΔ̃) oracle of the sparse QPE path.
-/// Dense copies remain available for the small-case eigensolver.
+/// matvec feeds the matrix-free exp(iθΔ̃) oracle of the sparse QPE path,
+/// and symmetric_eigenvalues() solves the CSR matrix block by block.
+/// Dense copies remain available for the small dense algorithms.
 #pragma once
 
 #include <complex>

@@ -32,6 +32,7 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/transport.hpp"
+#include "takens_fixture.hpp"
 #include "topology/laplacian.hpp"
 #include "topology/point_cloud.hpp"
 #include "topology/rips.hpp"
@@ -767,6 +768,56 @@ TEST(ServeServer, ConcurrentLoopbackClientsGetBitIdenticalAnswers) {
   const ServerStats totals = server.stats();
   EXPECT_GE(totals.admitted, static_cast<std::size_t>(kThreads * kPerThread));
   EXPECT_EQ(totals.errors, 0u);
+}
+
+TEST(ServeServer, DeadlineDuringCompileCachesNoPlan) {
+  // A 19-qubit Takens plan (256-row padded Δ_1 whose largest block has
+  // 128 rows, t = 3, purified): its diagnostic eigensolve alone takes over
+  // 10 ms, and the solve's checkpoints cancel the compile under a 1 ms
+  // budget before the plan reaches the store.
+  const std::size_t window = 10;
+  const auto clouds = testing::takens_windows();
+  EstimateRequest request;
+  request.id = "takens";
+  request.points = clouds[window].points();
+  request.epsilon = testing::takens_epsilon(clouds);
+  request.k = 1;
+  request.options = sparse_options();
+
+  BettiServer server;
+  LoopbackTransport transport;
+  server.start(transport);
+  std::shared_ptr<Connection> connection = transport.connect();
+  const auto round_trip = [&connection](const EstimateRequest& sent) {
+    EXPECT_TRUE(connection->write_line(format_request(sent)));
+    const std::optional<std::string> reply = connection->read_line();
+    return reply ? parse_response(*reply) : EstimateResponse{};
+  };
+
+  // The budget can also run out while queued on a loaded host; retry until
+  // the miss lands inside the compile.
+  EstimateRequest hurried = request;
+  hurried.deadline_ms = 1;
+  EstimateResponse missed;
+  for (int attempt = 0; attempt < 20; ++attempt) {
+    missed = round_trip(hurried);
+    if (missed.error.find("during execution") != std::string::npos) break;
+  }
+  EXPECT_FALSE(missed.ok);
+  EXPECT_EQ(missed.code, ServeErrorCode::kDeadline) << missed.error;
+  EXPECT_NE(missed.error.find("during execution"), std::string::npos)
+      << missed.error;
+  EXPECT_EQ(server.stats().plans.entries, 0u);
+
+  const EstimateResponse served = round_trip(request);
+  ASSERT_TRUE(served.ok) << served.error;
+  EXPECT_FALSE(served.plan_hit);
+  EXPECT_EQ(served.estimate.total_qubits, 19u);
+  EXPECT_EQ(server.stats().plans.entries, 1u);
+  const BettiEstimate cold = estimate_betti(
+      rips_complex(clouds[window], request.epsilon, 2), 1, request.options);
+  expect_bit_identical(served.estimate, cold);
+  server.stop();
 }
 
 TEST(ServeServer, InternalErrorsCarryNoSourceLocation) {

@@ -21,6 +21,7 @@
 #include "serve/metrics.hpp"
 #include "serve/server.hpp"
 #include "serve/transport.hpp"
+#include "takens_fixture.hpp"
 
 namespace qtda {
 namespace {
@@ -209,6 +210,49 @@ TEST(TelemetrySpan, ConcurrentStopTraceIsRaceFree) {
   const std::vector<telemetry::TraceEvent> rest = telemetry::stop_trace();
   collected += rest.size();
   EXPECT_GT(collected, 0u);
+}
+
+TEST(TelemetrySpan, ExactReferenceSpanCoversColdCompilesOnly) {
+  TelemetryGuard guard;
+  telemetry::set_enabled(true);
+  BettiServer server;
+  const telemetry::Histogram& exact_reference =
+      telemetry::registry().histogram("span.exact_reference");
+  const std::uint64_t before = exact_reference.snapshot().count;
+
+  const auto clouds = testing::takens_windows();
+  EstimateRequest request;
+  request.points = clouds[0].points();
+  request.epsilon = testing::takens_epsilon(clouds);
+  request.k = 0;
+  request.options.backend = EstimatorBackend::kCircuitSparse;
+  request.options.precision_qubits = 3;
+  request.options.shots = 100;
+
+  telemetry::start_trace();
+  const EstimateResponse cold = server.handle(request);
+  const std::vector<telemetry::TraceEvent> events = telemetry::stop_trace();
+  ASSERT_TRUE(cold.ok) << cold.error;
+  EXPECT_FALSE(cold.plan_hit);
+  EXPECT_EQ(exact_reference.snapshot().count, before + 1);
+  // The solve nests inside the compile it belongs to.
+  const telemetry::TraceEvent* compile = nullptr;
+  const telemetry::TraceEvent* solve = nullptr;
+  for (const telemetry::TraceEvent& event : events) {
+    if (std::string(event.name) == "compile_estimate") compile = &event;
+    if (std::string(event.name) == "exact_reference") solve = &event;
+  }
+  ASSERT_NE(compile, nullptr);
+  ASSERT_NE(solve, nullptr);
+  EXPECT_EQ(solve->depth, compile->depth + 1);
+  EXPECT_GE(solve->start_ns, compile->start_ns);
+  EXPECT_LE(solve->start_ns + solve->duration_ns,
+            compile->start_ns + compile->duration_ns);
+
+  const EstimateResponse warm = server.handle(request);
+  ASSERT_TRUE(warm.ok) << warm.error;
+  EXPECT_TRUE(warm.plan_hit);
+  EXPECT_EQ(exact_reference.snapshot().count, before + 1);
 }
 
 TEST(TelemetryMetrics, JsonRoundTrips) {
