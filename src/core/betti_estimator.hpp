@@ -151,9 +151,9 @@ Circuit build_qtda_circuit(const SparseMatrix& laplacian,
 /// (the serving layer's bit-identity contract).
 ///
 /// A CompiledEstimate may be shared across threads, but executions of one
-/// instance must be externally serialized: the plan's scratch arena and the
-/// distribution memo are shared mutable state (same one-executor-at-a-time
-/// contract as ExecutionPlan itself).
+/// instance must be externally serialized: the distribution memo and the
+/// plan's lazily built complex64 mirrors are shared mutable state.  The
+/// execution scratch is not; each estimate's backend owns its own.
 struct CompiledEstimate {
   std::shared_ptr<const ExecutionPlan> plan;
   QpeLayout layout;

@@ -193,10 +193,8 @@ void BasicStatevectorBackend<Real>::apply_plan_with_noise(
                "noisy execution needs a plan compiled with "
                "preserve_noise_slots (error placement would otherwise "
                "change)");
-  ExecutionScratch& scratch = plan.scratch();
   for_each_plan_op_with_noise(
-      plan, noise,
-      [&](const CompiledOp& op) { state_.apply_plan_op(op, scratch); },
+      plan, noise, [&](const CompiledOp& op) { state_.apply_plan_op(op); },
       [&](std::size_t q, double p) {
         maybe_apply_depolarizing(state_, q, p, rng);
       });

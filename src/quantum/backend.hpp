@@ -80,9 +80,10 @@ class SimulatorBackend {
   /// Executes a compiled plan (quantum/compiler.hpp), including its global
   /// phase.  The default walks the plan's ops through apply_gate — every
   /// backend gets gate fusion and the precompiled matrices for free; dense
-  /// engines override with a masks-and-arena fast path.  One plan may be
-  /// reused across many executions (that is the point), but only one
-  /// executor may run it at a time: the scratch arena is shared.
+  /// engines override with a masks-and-scratch fast path.  One plan may be
+  /// reused across many executions (that is the point); the engine owns the
+  /// scratch, so the plan's only mutable state is its lazy complex64
+  /// mirrors, filled by the first float execution.
   virtual void apply_plan(const ExecutionPlan& plan);
 
   /// Noisy counterpart of apply_plan: the plan must have been compiled with
@@ -143,8 +144,9 @@ class BasicStatevectorBackend final : public SimulatorBackend {
   void apply_gate(const Gate& gate) override;
   void apply_circuit(const Circuit& circuit) override;
   void apply_global_phase(double phi) override;
-  /// Fast path: precomputed masks/offsets + the plan's scratch arena — no
-  /// per-gate validation, matrix building, or allocation.
+  /// Fast path: precomputed masks/offsets + the engine's own scratch — no
+  /// per-gate validation or matrix building, and no allocation after the
+  /// first execution on this backend.
   void apply_plan(const ExecutionPlan& plan) override;
   void apply_plan_with_noise(const ExecutionPlan& plan,
                              const NoiseModel& noise, Rng& rng) override;

@@ -452,13 +452,6 @@ std::size_t ExecutionPlan::memory_bytes() const {
     bytes += op.gate.targets.size() * sizeof(std::size_t);
     bytes += op.gate.controls.size() * sizeof(std::size_t);
   }
-  bytes += (scratch_.block.capacity() + scratch_.block_out.capacity() +
-            scratch_.packed_in.capacity() + scratch_.packed_out.capacity()) *
-           sizeof(Amplitude);
-  bytes += (scratch_.block_f32.capacity() + scratch_.block_out_f32.capacity() +
-            scratch_.packed_in_f32.capacity() +
-            scratch_.packed_out_f32.capacity()) *
-           sizeof(std::complex<float>);
   return bytes;
 }
 

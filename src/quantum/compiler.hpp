@@ -24,9 +24,6 @@
 ///    performs no per-gate validation, mask building, or matrix
 ///    construction — the costs a trajectory ensemble otherwise pays
 ///    hundreds of times.
-///  * **Scratch arena**: the plan owns the gather/scatter and operator
-///    batch buffers its execution needs, so `apply_plan` allocates nothing
-///    per gate (and nothing at all after the first execution).
 ///  * **Noise slots**: compiled with `preserve_noise_slots`, the plan keeps
 ///    one op per source gate and records each gate's touched qubits, so the
 ///    noisy walk (for_each_gate_with_noise) keeps the *exact* error
@@ -38,10 +35,13 @@
 /// arithmetic bit for bit — and `QTDA_FUSE_WIDTH` overrides the maximum
 /// fused support (default 4).
 ///
-/// A plan is immutable and engine-agnostic; it may be executed many times
-/// (all QPE shots and all noise trajectories of an estimate reuse one
-/// plan), but by one executor at a time — the scratch arena is shared
-/// mutable state.
+/// A plan is engine-agnostic and owns no execution buffers: the engine that
+/// runs it owns its gather/scatter and operator batch scratch.  It may be
+/// executed many times (all QPE shots and all noise trajectories of an
+/// estimate reuse one plan).  Its only mutable state is the lazily built
+/// complex64 mirrors of CompiledOp, so executions at float precision must
+/// be serialized by the caller (the serving layer's PlanArtifact::exec_mutex
+/// also guards its distribution memo).
 #pragma once
 
 #include <complex>
@@ -145,8 +145,8 @@ struct CompiledOp {
 
   /// Lazily-built complex64 mirror of `diagonal`, for the float-precision
   /// executors (compiled_diagonal<float>).  Built on first use without
-  /// locking — safe under the plan's one-executor-at-a-time contract, the
-  /// same contract the shared scratch arena already relies on.
+  /// locking, so float executions of one plan must be serialized (the
+  /// plan's one mutable-state contract; see the file comment).
   const std::vector<std::complex<float>>& diagonal_f32() const {
     if (diagonal_f32_.empty() && !diagonal.empty()) {
       diagonal_f32_.reserve(diagonal.size());
@@ -192,73 +192,9 @@ struct CompilerStats {
   std::string to_string() const;
 };
 
-/// Reusable buffers owned by a plan: gather/scatter block scratch and the
-/// operator batch buffers.  Grown on first use, then reused by every
-/// subsequent execution of the plan.
-struct ExecutionScratch {
-  std::vector<Amplitude> block;
-  std::vector<Amplitude> block_out;  ///< vectorized block-apply output rows
-  std::vector<Amplitude> packed_in;
-  std::vector<Amplitude> packed_out;
-  // complex64 mirrors used by the float-precision executors (the plan does
-  // not know the precision of the engine that will run it).
-  std::vector<std::complex<float>> block_f32;
-  std::vector<std::complex<float>> block_out_f32;
-  std::vector<std::complex<float>> packed_in_f32;
-  std::vector<std::complex<float>> packed_out_f32;
-};
-
-/// Precision-keyed views of the scratch arena and of a CompiledOp's
-/// materialized tables: the templated engines pick their buffers through
-/// these so one executor body serves both scalars.
-template <typename Real>
-std::vector<std::complex<Real>>& scratch_block(ExecutionScratch& s);
-template <>
-inline std::vector<Amplitude>& scratch_block<double>(ExecutionScratch& s) {
-  return s.block;
-}
-template <>
-inline std::vector<std::complex<float>>& scratch_block<float>(
-    ExecutionScratch& s) {
-  return s.block_f32;
-}
-
-template <typename Real>
-std::vector<std::complex<Real>>& scratch_block_out(ExecutionScratch& s);
-template <>
-inline std::vector<Amplitude>& scratch_block_out<double>(ExecutionScratch& s) {
-  return s.block_out;
-}
-template <>
-inline std::vector<std::complex<float>>& scratch_block_out<float>(
-    ExecutionScratch& s) {
-  return s.block_out_f32;
-}
-
-template <typename Real>
-std::vector<std::complex<Real>>& scratch_packed_in(ExecutionScratch& s);
-template <>
-inline std::vector<Amplitude>& scratch_packed_in<double>(ExecutionScratch& s) {
-  return s.packed_in;
-}
-template <>
-inline std::vector<std::complex<float>>& scratch_packed_in<float>(
-    ExecutionScratch& s) {
-  return s.packed_in_f32;
-}
-
-template <typename Real>
-std::vector<std::complex<Real>>& scratch_packed_out(ExecutionScratch& s);
-template <>
-inline std::vector<Amplitude>& scratch_packed_out<double>(
-    ExecutionScratch& s) {
-  return s.packed_out;
-}
-template <>
-inline std::vector<std::complex<float>>& scratch_packed_out<float>(
-    ExecutionScratch& s) {
-  return s.packed_out_f32;
-}
+/// Precision-keyed views of a CompiledOp's materialized tables: the
+/// templated engines pick their tables through these so one executor body
+/// serves both scalars.
 
 /// The diagonal table of a kDiagonal op at the executor's precision.
 template <typename Real>
@@ -286,7 +222,8 @@ inline const std::complex<float>* compiled_matrix_data<float>(
   return op.matrix_f32().data();
 }
 
-/// A compiled, immutable, execute-many circuit.
+/// A compiled, execute-many circuit (immutable apart from the lazy
+/// complex64 mirrors of its ops).
 class ExecutionPlan {
  public:
   std::size_t num_qubits() const { return num_qubits_; }
@@ -297,17 +234,11 @@ class ExecutionPlan {
   /// precondition of every *_with_noise execution path.
   bool preserves_noise_slots() const { return noise_slots_; }
 
-  /// The plan's scratch arena.  Mutable by design: executing a plan reuses
-  /// these buffers, which is why one plan must not be executed from two
-  /// threads at once (parallelism lives *inside* the kernels).
-  ExecutionScratch& scratch() const { return scratch_; }
-
   /// Approximate resident size of the plan: compiled matrices, diagonal
-  /// tables, offset/base enumerations, and the scratch arena's current
-  /// capacity.  The byte-budget accounting unit of the serving layer's
-  /// plan cache (the lazily-built complex64 mirrors are counted as if
-  /// materialized, so a cached plan cannot quietly outgrow its admission
-  /// size on first float execution).
+  /// tables and offset/base enumerations.  The byte-budget accounting unit
+  /// of the serving layer's plan cache.  It does not change when the plan
+  /// executes: the lazily-built complex64 mirrors are counted as if
+  /// materialized, and execution scratch belongs to the engine.
   std::size_t memory_bytes() const;
 
  private:
@@ -318,7 +249,6 @@ class ExecutionPlan {
   bool noise_slots_ = false;
   std::vector<CompiledOp> ops_;
   CompilerStats stats_;
-  mutable ExecutionScratch scratch_;
 };
 
 /// Lowers \p circuit into an ExecutionPlan under explicit options (pass

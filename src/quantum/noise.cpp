@@ -21,10 +21,8 @@ Statevector run_noisy_trajectory(const ExecutionPlan& plan,
                "trajectory execution needs a plan compiled with "
                "preserve_noise_slots");
   Statevector state(plan.num_qubits());
-  ExecutionScratch& scratch = plan.scratch();
   for_each_plan_op_with_noise(
-      plan, noise,
-      [&](const CompiledOp& op) { state.apply_plan_op(op, scratch); },
+      plan, noise, [&](const CompiledOp& op) { state.apply_plan_op(op); },
       [&](std::size_t q, double p) {
         maybe_apply_depolarizing(state, q, p, rng);
       });

@@ -81,10 +81,9 @@ Statevector run_noisy_trajectory(const Circuit& circuit,
 
 /// Compile-once variant for trajectory ensembles: the plan must have been
 /// compiled with preserve_noise_slots, so every trajectory reuses the
-/// precompiled ops and the plan's scratch arena instead of re-walking the
-/// raw gate IR (matrix construction, mask building, buffer allocation per
-/// gate per trajectory).  Error placement and RNG consumption are identical
-/// to the Circuit overload.
+/// precompiled ops instead of re-walking the raw gate IR (matrix
+/// construction and mask building per gate per trajectory).  Error
+/// placement and RNG consumption are identical to the Circuit overload.
 Statevector run_noisy_trajectory(const ExecutionPlan& plan,
                                  const NoiseModel& noise, Rng& rng);
 

@@ -26,41 +26,6 @@ constexpr std::uint64_t kParallelThreshold = kStatevectorParallelThreshold;
 /// identical by construction.
 constexpr std::uint64_t kMinSimdRun = 4;
 
-/// Reusable per-thread buffers for the non-plan entry points: apply_unitary
-/// and apply_operator used to allocate their gather/scatter scratch on every
-/// call; these persist for the thread's lifetime.  Plan execution uses the plan's own arena, not
-/// these.  Templated over the amplitude type: each engine precision owns its
-/// buffers.
-template <typename C>
-std::vector<C>& thread_block_scratch() {
-  thread_local std::vector<C> buffer;
-  return buffer;
-}
-
-template <typename C>
-std::vector<C>& thread_block_out() {
-  thread_local std::vector<C> buffer;
-  return buffer;
-}
-
-template <typename C>
-std::vector<C>& thread_packed_in() {
-  thread_local std::vector<C> buffer;
-  return buffer;
-}
-
-template <typename C>
-std::vector<C>& thread_packed_out() {
-  thread_local std::vector<C> buffer;
-  return buffer;
-}
-
-template <typename C>
-std::vector<C>& thread_matrix_scratch() {
-  thread_local std::vector<C> buffer;
-  return buffer;
-}
-
 /// Row-major matrix entries at the engine's precision: the double engine
 /// reads the ComplexMatrix storage directly (no copy — and no change to the
 /// historical arithmetic); the float engine narrows into a reusable scratch.
@@ -216,16 +181,14 @@ void BasicStatevector<Real>::apply_unitary(
                "unitary shape does not match target count");
   const TargetLayout layout =
       build_target_layout(targets, controls, num_qubits_);
-  block_kernel(cast_matrix<Real>(u, thread_matrix_scratch<C>()), layout.tmask,
-               layout.cmask, block_offsets(layout.local_bit_mask),
-               thread_block_scratch<C>(), thread_block_out<C>());
+  block_kernel(cast_matrix<Real>(u, matrix_scratch_), layout.tmask,
+               layout.cmask, block_offsets(layout.local_bit_mask));
 }
 
 template <typename Real>
 void BasicStatevector<Real>::block_kernel(
     const C* u, std::uint64_t tmask, std::uint64_t cmask,
-    const std::vector<std::uint64_t>& offset, std::vector<C>& scratch,
-    std::vector<C>& scratch_out) {
+    const std::vector<std::uint64_t>& offset) {
   const std::uint64_t block = offset.size();
   const std::uint64_t dim = dimension();
   C* amp = amplitudes_.data();
@@ -235,16 +198,15 @@ void BasicStatevector<Real>::block_kernel(
   // simd_kernels.hpp), so mixing paths cannot change results.
   const SimdLevel level = active_simd_level();
   if (level != SimdLevel::kScalar) {
-    scratch.resize(block);
-    scratch_out.resize(block);
+    block_in_.resize(block);
+    block_out_.resize(block);
+    C* in = block_in_.data();
+    C* out = block_out_.data();
     for (std::uint64_t i = 0; i < dim; ++i) {
       if ((i & tmask) == 0 && (i & cmask) == cmask) {
-        for (std::uint64_t l = 0; l < block; ++l)
-          scratch[l] = amp[i | offset[l]];
-        simd::block_matvec(level, u, scratch.data(), scratch_out.data(),
-                           block);
-        for (std::uint64_t r = 0; r < block; ++r)
-          amp[i | offset[r]] = scratch_out[r];
+        for (std::uint64_t l = 0; l < block; ++l) in[l] = amp[i | offset[l]];
+        simd::block_matvec(level, u, in, out, block);
+        for (std::uint64_t r = 0; r < block; ++r) amp[i | offset[r]] = out[r];
       }
     }
     return;
@@ -260,9 +222,9 @@ void BasicStatevector<Real>::block_kernel(
     }
   };
 
-  scratch.resize(block);
+  block_in_.resize(block);
   for (std::uint64_t i = 0; i < dim; ++i) {
-    if ((i & tmask) == 0 && (i & cmask) == cmask) body(i, scratch);
+    if ((i & tmask) == 0 && (i & cmask) == cmask) body(i, block_in_);
   }
 }
 
@@ -288,25 +250,14 @@ void BasicStatevector<Real>::apply_operator(
 
   const std::vector<std::uint64_t> bases =
       enumerate_block_bases(dimension(), layout.tmask, layout.cmask);
-  operator_kernel(op, contiguous, offset, bases, thread_packed_in<C>(),
-                  thread_packed_out<C>());
-  // Reuse is worth keeping only at moderate size: the batch buffers grow to
-  // the ~64 MB batch cap on large states, and a thread_local would pin that
-  // for the thread's lifetime.  (Plan execution bounds the same buffers to
-  // the plan's lifetime via its arena instead.)
-  constexpr std::size_t kRetainedAmplitudeCap = std::size_t{1} << 18;
-  if (thread_packed_in<C>().capacity() > kRetainedAmplitudeCap) {
-    thread_packed_in<C>() = {};
-    thread_packed_out<C>() = {};
-  }
+  operator_kernel(op, contiguous, offset, bases);
 }
 
 template <typename Real>
 void BasicStatevector<Real>::operator_kernel(
     const LinearOperator& op, bool contiguous,
     const std::vector<std::uint64_t>& offset,
-    const std::vector<std::uint64_t>& bases, std::vector<C>& packed_in,
-    std::vector<C>& packed_out) {
+    const std::vector<std::uint64_t>& bases) {
   const std::uint64_t block = op.dimension();
   // Batch blocks through packed buffers so the operator can amortize setup
   // and parallelize across blocks; the batch cap bounds the extra memory at
@@ -319,27 +270,27 @@ void BasicStatevector<Real>::operator_kernel(
        first += blocks_per_batch) {
     const std::size_t count =
         std::min(blocks_per_batch, bases.size() - first);
-    packed_in.resize(count * block);
-    packed_out.resize(count * block);
+    packed_in_.resize(count * block);
+    packed_out_.resize(count * block);
     for (std::size_t b = 0; b < count; ++b) {
       const std::uint64_t base = bases[first + b];
       if (contiguous) {
-        std::memcpy(packed_in.data() + b * block, amp + base,
+        std::memcpy(packed_in_.data() + b * block, amp + base,
                     block * sizeof(C));
       } else {
         for (std::uint64_t l = 0; l < block; ++l)
-          packed_in[b * block + l] = amp[base | offset[l]];
+          packed_in_[b * block + l] = amp[base | offset[l]];
       }
     }
-    operator_apply_batch(op, packed_in.data(), packed_out.data(), count);
+    operator_apply_batch(op, packed_in_.data(), packed_out_.data(), count);
     for (std::size_t b = 0; b < count; ++b) {
       const std::uint64_t base = bases[first + b];
       if (contiguous) {
-        std::memcpy(amp + base, packed_out.data() + b * block,
+        std::memcpy(amp + base, packed_out_.data() + b * block,
                     block * sizeof(C));
       } else {
         for (std::uint64_t l = 0; l < block; ++l)
-          amp[base | offset[l]] = packed_out[b * block + l];
+          amp[base | offset[l]] = packed_out_[b * block + l];
       }
     }
   }
@@ -425,15 +376,13 @@ void BasicStatevector<Real>::apply_plan(const ExecutionPlan& plan) {
   QTDA_REQUIRE(plan.num_qubits() == num_qubits_,
                "plan width " << plan.num_qubits()
                              << " does not match state width " << num_qubits_);
-  ExecutionScratch& scratch = plan.scratch();
-  for_each_plan_op_accounted(
-      plan, [&](const CompiledOp& op) { apply_plan_op(op, scratch); });
+  for_each_plan_op_accounted(plan,
+                             [&](const CompiledOp& op) { apply_plan_op(op); });
   if (plan.global_phase() != 0.0) apply_global_phase(plan.global_phase());
 }
 
 template <typename Real>
-void BasicStatevector<Real>::apply_plan_op(const CompiledOp& op,
-                                           ExecutionScratch& scratch) {
+void BasicStatevector<Real>::apply_plan_op(const CompiledOp& op) {
   switch (op.kind) {
     case CompiledOp::Kind::kSingleQubit:
       single_qubit_kernel(static_cast<C>(op.u00), static_cast<C>(op.u01),
@@ -446,17 +395,14 @@ void BasicStatevector<Real>::apply_plan_op(const CompiledOp& op,
                          op.offsets[1]);
       } else {
         block_kernel(compiled_matrix_data<Real>(op), op.tmask, op.cmask,
-                     op.offsets, scratch_block<Real>(scratch),
-                     scratch_block_out<Real>(scratch));
+                     op.offsets);
       }
       break;
     case CompiledOp::Kind::kDiagonal:
       diagonal_kernel(compiled_diagonal<Real>(op), op.diag_extract);
       break;
     case CompiledOp::Kind::kOperator:
-      operator_kernel(*op.gate.op, op.contiguous, op.offsets, op.bases,
-                      scratch_packed_in<Real>(scratch),
-                      scratch_packed_out<Real>(scratch));
+      operator_kernel(*op.gate.op, op.contiguous, op.offsets, op.bases);
       break;
   }
 }

@@ -112,14 +112,14 @@ class BasicStatevector {
                       const std::vector<std::size_t>& controls = {});
   /// Executes a compiled plan (quantum/compiler.hpp), including its global
   /// phase: the fast path of the estimator — precomputed masks/offsets, no
-  /// per-gate setup, scratch from the plan's arena.  With fusion disabled
+  /// per-gate setup, scratch from this engine's buffers.  With fusion disabled
   /// the result is bit-identical to apply_circuit on the source circuit;
   /// with fusion it agrees to ~1e-12 (dense blocks reassociate the
   /// floating-point order).
   void apply_plan(const ExecutionPlan& plan);
   /// Executes one compiled op — the building block apply_plan and the noisy
   /// per-op walks share.
-  void apply_plan_op(const CompiledOp& op, ExecutionScratch& scratch);
+  void apply_plan_op(const CompiledOp& op);
   /// Multiplies the whole state by e^{iφ}.
   void apply_global_phase(double phi);
 
@@ -160,16 +160,24 @@ class BasicStatevector {
   void two_qubit_kernel(const C* u, std::uint64_t mask_high,
                         std::uint64_t mask_low);
   void block_kernel(const C* u, std::uint64_t tmask, std::uint64_t cmask,
-                    const std::vector<std::uint64_t>& offsets,
-                    std::vector<C>& scratch, std::vector<C>& scratch_out);
+                    const std::vector<std::uint64_t>& offsets);
   void diagonal_kernel(const C* table, const DiagonalExtract& extract);
   void operator_kernel(const LinearOperator& op, bool contiguous,
                        const std::vector<std::uint64_t>& offsets,
-                       const std::vector<std::uint64_t>& bases,
-                       std::vector<C>& packed_in, std::vector<C>& packed_out);
+                       const std::vector<std::uint64_t>& bases);
 
   std::size_t num_qubits_;
   std::vector<C> amplitudes_;
+  // Execution scratch, grown on first use and freed with the engine: block
+  // gather/scatter and its output rows, the operator batch buffers, and the
+  // float engine's narrowed matrix.  The engine owns it so that a plan holds
+  // no mutable buffers and an estimate's backend reuses them across every
+  // trajectory it evolves.
+  std::vector<C> block_in_;
+  std::vector<C> block_out_;
+  std::vector<C> packed_in_;
+  std::vector<C> packed_out_;
+  std::vector<C> matrix_scratch_;
 };
 
 /// The historical (and default) double-precision engine.

@@ -13,11 +13,13 @@
 /// and three key on the *complex* fingerprint, distinct clouds that induce
 /// the same ε-complex share the Laplacian and the plan.
 ///
-/// Compiled plans carry mutable scratch (the one-executor-at-a-time
-/// contract of ExecutionPlan), so the plan cache wraps each entry in a
-/// PlanArtifact with its own execution mutex: the cache may hand the same
-/// plan to any number of threads, and executors serialize on that mutex —
-/// never on the cache locks.
+/// A compiled estimate keeps two pieces of mutable state: its distribution
+/// memo and its plan's lazily built complex64 mirrors (execution scratch
+/// belongs to the engine, so a cached plan's memory_bytes() never grows).
+/// The plan cache therefore wraps each entry in a PlanArtifact with its own
+/// execution mutex: the cache may hand the same plan to any number of
+/// threads, and executors serialize on that mutex — never on the cache
+/// locks.
 #pragma once
 
 #include <cstdint>
@@ -140,7 +142,8 @@ class ShardedLruCache {
 };
 
 /// A cached compiled estimate plus the mutex that serializes executions of
-/// its plan (the plan's scratch arena is shared mutable state).
+/// it: the memo fill and the plan's lazy complex64 mirrors are shared
+/// mutable state.
 struct PlanArtifact {
   CompiledEstimate compiled;
   mutable Mutex exec_mutex;

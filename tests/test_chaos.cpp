@@ -24,16 +24,9 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/transport.hpp"
+#include "server_test_access.hpp"
 
 namespace qtda {
-
-/// Reaches BettiServer's worker seam: \p hold runs on a worker after it
-/// dequeues a batch and before it executes it.
-struct BettiServerTestAccess {
-  static void hold_workers(BettiServer& server, std::function<void()> hold) {
-    server.before_execute_ = std::move(hold);
-  }
-};
 
 namespace {
 

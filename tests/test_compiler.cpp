@@ -17,6 +17,7 @@
 #include "quantum/backend.hpp"
 #include "quantum/compiler.hpp"
 #include "quantum/noise.hpp"
+#include "quantum/statevector.hpp"
 #include "scoped_env.hpp"
 #include "topology/laplacian.hpp"
 #include "topology/random_complex.hpp"
@@ -245,6 +246,54 @@ TEST(Compiler, NoisyExecutionRejectsFusedPlan) {
   Rng rng(5);
   EXPECT_THROW(
       backend.apply_plan_with_noise(plan, NoiseModel{0.1, 0.1}, rng), Error);
+}
+
+TEST(Compiler, ExecutionLeavesPlanMemoryBytesUnchanged) {
+  // The serving layer charges a cached plan its memory_bytes() at insertion.
+  // Execution scratch belongs to the engine, so running a plan — fused or
+  // noise-slot, at either precision — must not grow what the plan holds.
+  Rng circuit_rng(19);
+  Circuit circuit = random_circuit(5, 30, circuit_rng);
+  // A controlled 3-wire block and a wide operator gate: the ops whose
+  // execution needs gather/scatter and batch buffers.
+  circuit.unitary(random_unitary(3, circuit_rng), {0, 2, 4}, {1});
+  circuit.operator_gate(
+      std::make_shared<DenseOperator>(random_unitary(3, circuit_rng)),
+      {1, 3, 4}, {0});
+  CompilerOptions noisy;
+  noisy.preserve_noise_slots = true;
+  const ExecutionPlan fused = compile_circuit(circuit, CompilerOptions{});
+  const ExecutionPlan noise_slots = compile_circuit(circuit, noisy);
+  const auto has_wide_op = [](const ExecutionPlan& plan,
+                              CompiledOp::Kind kind) {
+    for (const CompiledOp& op : plan.ops())
+      if (op.kind == kind && op.offsets.size() > 4) return true;
+    return false;
+  };
+  for (const ExecutionPlan* plan : {&fused, &noise_slots}) {
+    ASSERT_TRUE(has_wide_op(*plan, CompiledOp::Kind::kBlock));
+    ASSERT_TRUE(has_wide_op(*plan, CompiledOp::Kind::kOperator));
+  }
+
+  const std::size_t fused_bytes = fused.memory_bytes();
+  const std::size_t noise_bytes = noise_slots.memory_bytes();
+  const NoiseModel noise{0.05, 0.1};
+  Rng rng(3);
+  for (int run = 0; run < 3; ++run) {
+    Statevector f64(5);
+    f64.apply_plan(fused);
+    EXPECT_EQ(fused.memory_bytes(), fused_bytes) << "float64 run " << run;
+    StatevectorF32 f32(5);
+    f32.apply_plan(fused);
+    EXPECT_EQ(fused.memory_bytes(), fused_bytes) << "float32 run " << run;
+
+    StatevectorBackend backend(5);
+    backend.apply_plan_with_noise(noise_slots, noise, rng);
+    StatevectorBackendF32 backend_f32(5);
+    backend_f32.apply_plan_with_noise(noise_slots, noise, rng);
+    run_noisy_trajectory(noise_slots, noise, rng);
+    EXPECT_EQ(noise_slots.memory_bytes(), noise_bytes) << "noisy run " << run;
+  }
 }
 
 TEST(Compiler, ControlledPhaseLadderFusesIntoOneDiagonal) {

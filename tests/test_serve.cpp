@@ -32,6 +32,7 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/transport.hpp"
+#include "server_test_access.hpp"
 #include "takens_fixture.hpp"
 #include "topology/laplacian.hpp"
 #include "topology/point_cloud.hpp"
@@ -686,8 +687,7 @@ TEST(ServeMemo, MemoryBytesCountTheSlotFromCompileTime) {
   const SparseMatrix laplacian = ring_laplacian();
   const EstimatorOptions options = sparse_options();  // t = 3
   const CompiledEstimate compiled = compile_betti_estimate(laplacian, options);
-  // The plan's scratch arena may grow on first execution; the slot's share
-  // is fixed at compile time.
+  // The slot's share is fixed at compile time, before the memo fills.
   const auto slot_bytes = [&compiled] {
     return compiled.memory_bytes() - sizeof(CompiledEstimate) -
            compiled.plan->memory_bytes();
@@ -818,6 +818,45 @@ TEST(ServeServer, DeadlineDuringCompileCachesNoPlan) {
       rips_complex(clouds[window], request.epsilon, 2), 1, request.options);
   expect_bit_identical(served.estimate, cold);
   server.stop();
+}
+
+TEST(ServeServer, PlanCacheChargesWhatTakensPlansHold) {
+  // The 32 §5 Takens requests (16 windows × k ∈ {0, 1}, t = 3, 15–19
+  // qubits): every plan misses, evolves once and stays cached.  What the
+  // plan cache charged at insertion must still be what its plans hold
+  // afterwards — execution scratch belongs to the engine, not the plan.
+  const auto clouds = testing::takens_windows();
+  const double epsilon = testing::takens_epsilon(clouds);
+  BettiServer server;
+  std::vector<EstimateRequest> requests;
+  for (std::size_t window = 0; window < clouds.size(); ++window) {
+    for (int k = 0; k <= 1; ++k) {
+      EstimateRequest request;
+      request.points = clouds[window].points();
+      request.epsilon = epsilon;
+      request.k = k;
+      request.options = sparse_options();
+      const EstimateResponse response = server.handle(request);
+      ASSERT_TRUE(response.ok) << response.error;
+      EXPECT_FALSE(response.plan_hit);
+      requests.push_back(request);
+    }
+  }
+  const CacheStats charged = server.stats().plans;
+  ASSERT_EQ(charged.entries, requests.size());
+  EXPECT_EQ(charged.evictions, 0u);
+
+  // Re-resolving hits every level and hands back the cached artifacts.
+  ArtifactStore& store = BettiServerTestAccess::store(server);
+  std::size_t held = 0;
+  for (const EstimateRequest& request : requests) {
+    const ResolvedArtifacts artifacts =
+        store.resolve(PointCloud(request.points), request.epsilon, request.k,
+                      request.options);
+    ASSERT_TRUE(artifacts.plan_hit);
+    held += artifacts.plan->memory_bytes();
+  }
+  EXPECT_EQ(held, charged.bytes);
 }
 
 TEST(ServeServer, InternalErrorsCarryNoSourceLocation) {
