@@ -2,13 +2,15 @@
 # Runs every bench_micro_* Google-Benchmark binary with JSON output and
 # merges the results into BENCH_micro.json (one top-level key per binary).
 # When a committed BENCH_micro.json already exists, the fresh results are
-# diffed against it first and per-benchmark real_time deltas are printed —
-# the perf trajectory the ROADMAP asks for.
+# diffed against it and per-benchmark real_time deltas are printed — the
+# perf trajectory the ROADMAP asks for.
 #
 # Usage: scripts/bench.sh [--check]
 #   --check               exit non-zero when any benchmark regressed by more
 #                         than QTDA_BENCH_TOLERANCE (opt-in so noisy hosts
-#                         don't fail by default)
+#                         don't fail by default).  Fresh results go to a
+#                         temporary file; BENCH_micro.json is left as it is,
+#                         so a second check still compares against it.
 #   QTDA_BENCH_BUILD_DIR  build directory (default: build-bench; configured
 #                         with -DQTDA_BUILD_BENCH=ON if absent)
 #   QTDA_BENCH_MIN_TIME   --benchmark_min_time value (default: 0.05)
@@ -32,9 +34,14 @@ cmake --build "$BUILD_DIR" -j
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-# Keep the committed baseline for the diff before overwriting it.
+# A check leaves the baseline in place and writes the fresh run aside;
+# a recording keeps a copy of the old baseline for the diff, then
+# overwrites it.
 baseline=""
-if [ -f "$OUT" ]; then
+if [ "$CHECK" -eq 1 ]; then
+  [ -f "$OUT" ] && baseline="$OUT"
+  OUT="$tmp/fresh.json"
+elif [ -f "$OUT" ]; then
   baseline="$tmp/baseline.json"
   cp "$OUT" "$baseline"
 fi
@@ -61,7 +68,7 @@ if [ "$found" -eq 0 ]; then
        "is Google Benchmark installed?" >&2
   exit 1
 fi
-echo "wrote $OUT"
+[ "$CHECK" -eq 1 ] || echo "wrote $OUT"
 
 # Per-benchmark real_time deltas against the committed baseline.  New or
 # vanished benchmarks are reported but never fail the check.

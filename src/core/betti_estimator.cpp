@@ -111,9 +111,9 @@ Circuit build_estimator_circuit(const SparseScaledHamiltonian& scaled,
         build_trotter_qpe(pauli_decompose(scaled.matrix), options, layout));
     return circuit;
   }
-  // All t controlled powers share one CSR copy of H; each operator owns
-  // only its Chebyshev coefficients.
-  const auto shared_h = std::make_shared<const SparseMatrix>(scaled.matrix);
+  // All t controlled powers share one component-regrouped CSR copy of H;
+  // each operator owns only its Chebyshev coefficients.
+  const auto shared_h = std::make_shared<const ComponentCsr>(scaled.matrix);
   circuit.append_circuit(build_qpe_circuit_sparse(
       layout, [&](std::uint64_t power) -> std::shared_ptr<const LinearOperator> {
         return std::make_shared<SparseExpOperator>(

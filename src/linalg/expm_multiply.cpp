@@ -1,6 +1,7 @@
 #include "linalg/expm_multiply.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <list>
@@ -183,27 +184,6 @@ std::vector<double> bessel_j_sequence(std::size_t n, double z) {
   return j;
 }
 
-SparseExpOperator::SparseExpOperator(SparseMatrix a, double theta,
-                                     double lambda_min, double lambda_max,
-                                     const ExpmOptions& options)
-    : SparseExpOperator(std::make_shared<const SparseMatrix>(std::move(a)),
-                        theta, lambda_min, lambda_max, options) {}
-
-SparseExpOperator::SparseExpOperator(std::shared_ptr<const SparseMatrix> a,
-                                     double theta, double lambda_min,
-                                     double lambda_max,
-                                     const ExpmOptions& options)
-    : a_(std::move(a)), theta_(theta) {
-  QTDA_REQUIRE(a_ != nullptr, "exponential action needs a matrix");
-  QTDA_REQUIRE(a_->rows() == a_->cols() && a_->rows() > 0,
-               "exponential action needs a non-empty square matrix");
-  QTDA_REQUIRE(lambda_max >= lambda_min, "spectral bounds out of order");
-  center_ = 0.5 * (lambda_max + lambda_min);
-  half_width_ = 0.5 * (lambda_max - lambda_min);
-  coefficients_ = shared_exp_coefficients(theta_ * half_width_,
-                                          theta_ * center_, options.tolerance);
-}
-
 namespace {
 
 // The lane bodies are inlined into one wrapper per vector width, each
@@ -228,19 +208,25 @@ constexpr std::size_t kSerialWork = std::size_t{1} << 16;
 /// A single block's rows are split across the pool from this dimension up.
 constexpr std::size_t kParallelRows = 4096;
 
-/// One rail's view of a SparseExpOperator: the CSR arrays and Chebyshev
-/// coefficients at Real, and B = (A − c·I)/h as (center, 1/h).
+/// One rail's view of a SparseExpOperator: A regrouped by component
+/// (ComponentCsr) with its values, the Chebyshev coefficients at Real, B =
+/// (A − c·I)/h as (center, 1/h), and the zero-slice table.  A component's
+/// view is the same struct with d, offsets and members narrowed to its rows.
 template <typename Real>
 struct ChebyshevRail {
   std::size_t d;
   std::size_t nonzeros;
   const std::size_t* offsets;
-  const std::size_t* cols;
+  const std::size_t* cols;  ///< component-local
   const Real* values;
   const std::complex<Real>* coefficients;
   std::size_t terms;
   Real center;
   Real inv_h;  ///< infinite when h = 0, but then terms = 1 and it is unused
+  const std::size_t* members;  ///< original index of each regrouped row
+  const std::size_t* begin;    ///< component c: rows [begin[c], begin[c+1])
+  std::size_t components;
+  const std::complex<Real>* zero_outputs;  ///< see zero_slice_outputs
 };
 
 /// kBytes of Reals as one GCC vector: arithmetic is lane-wise IEEE.
@@ -327,16 +313,23 @@ QTDA_CHEBYSHEV_INLINE void chebyshev_lanes(
   }
 }
 
+/// Blocks per lane group: every rail and vector width advances 8 blocks
+/// per group (N vectors of W lanes).
+constexpr std::size_t kGroupBlocks = 8;
+
 /// Term k on rows [lo, hi) of the tile with kBytes-wide vectors: groups of
-/// 8 blocks, then single vectors, then single blocks.
+/// 8 blocks, then single vectors, then single 16-byte vectors, then single
+/// blocks.
 template <typename Real, bool kFirst, std::size_t kBytes>
 QTDA_CHEBYSHEV_INLINE void chebyshev_rows_body(
     const ChebyshevRail<Real>& rail, std::size_t k, std::size_t m,
     const Real* src_re, const Real* src_im, Real* dst_re, Real* dst_im,
     Real* y_re, Real* y_im, std::size_t lo, std::size_t hi) {
   using V = typename Lanes<Real, kBytes>::type;
+  using V16 = typename Lanes<Real, 16>::type;
   constexpr std::size_t W = kBytes / sizeof(Real);
-  constexpr std::size_t N = W >= 8 ? 1 : 8 / W;
+  constexpr std::size_t W16 = 16 / sizeof(Real);
+  constexpr std::size_t N = W >= kGroupBlocks ? 1 : kGroupBlocks / W;
   for (std::size_t r = lo; r < hi; ++r) {
     std::size_t j0 = 0;
     for (; j0 + N * W <= m; j0 += N * W)
@@ -345,6 +338,12 @@ QTDA_CHEBYSHEV_INLINE void chebyshev_rows_body(
     for (; j0 + W <= m; j0 += W)
       chebyshev_lanes<Real, kFirst, V, 1>(rail, k, m, r, j0, src_re, src_im,
                                           dst_re, dst_im, y_re, y_im);
+    if constexpr (W > W16) {
+      for (; j0 + W16 <= m; j0 += W16)
+        chebyshev_lanes<Real, kFirst, V16, 1>(rail, k, m, r, j0, src_re,
+                                              src_im, dst_re, dst_im, y_re,
+                                              y_im);
+    }
     for (; j0 < m; ++j0)
       chebyshev_lanes<Real, kFirst, Real, 1>(rail, k, m, r, j0, src_re,
                                              src_im, dst_re, dst_im, y_re,
@@ -381,14 +380,17 @@ void chebyshev_rows(const ChebyshevRail<Real>& rail, std::size_t k,
                                         dst_im, y_re, y_im, lo, hi);
 }
 
-/// y = e^{iθA}·x for the m consecutive blocks at x: transpose them into
-/// \p workspace (three d × m arrays: T_{k−1}, T_k and y), run every term
-/// across the whole tile, transpose y back.  With \p split_rows each term's
-/// rows are split across the shared pool above kParallelRows.
+/// Runs the recurrence for the m blocks listed in \p blocks on the rows of
+/// one component (\p rail is its view; blocks are \p stride amplitudes
+/// apart): gather the members into \p workspace (three d × m arrays:
+/// T_{k−1}, T_k and y), run every term across the whole tile, scatter y
+/// back.  With \p split_rows each term's rows are split across the shared
+/// pool.
 template <typename Real>
-void chebyshev_tile(const ChebyshevRail<Real>& rail,
+void chebyshev_tile(const ChebyshevRail<Real>& rail, std::size_t stride,
+                    const std::size_t* blocks, std::size_t m,
                     const std::complex<Real>* x, std::complex<Real>* y,
-                    std::size_t m, Real* workspace, bool split_rows) {
+                    Real* workspace, bool split_rows) {
   const std::size_t d = rail.d;
   const std::size_t plane = d * m;
   Real* prev_re = workspace;
@@ -399,8 +401,9 @@ void chebyshev_tile(const ChebyshevRail<Real>& rail,
   Real* y_im = y_re + plane;
   const std::complex<Real> a0 = rail.coefficients[0];
   for (std::size_t j = 0; j < m; ++j) {
+    const std::complex<Real>* xj = x + blocks[j] * stride;
     for (std::size_t r = 0; r < d; ++r) {
-      const std::complex<Real> v = x[j * d + r];
+      const std::complex<Real> v = xj[rail.members[r]];
       const std::size_t at = r * m + j;
       prev_re[at] = v.real();
       prev_im[at] = v.imag();
@@ -428,49 +431,203 @@ void chebyshev_tile(const ChebyshevRail<Real>& rail,
       std::swap(prev_im, cur_im);
     }
   }
-  for (std::size_t j = 0; j < m; ++j)
+  for (std::size_t j = 0; j < m; ++j) {
+    std::complex<Real>* yj = y + blocks[j] * stride;
     for (std::size_t r = 0; r < d; ++r)
-      y[j * d + r] = {y_re[r * m + j], y_im[r * m + j]};
+      yj[rail.members[r]] = {y_re[r * m + j], y_im[r * m + j]};
+  }
 }
 
-/// The exponential action on \p count consecutive blocks.  One block runs
-/// as a single tile with its rows split for large d.  A batch is cut into
-/// tiles of about kTileAmplitudes; it runs on the calling thread below
-/// kSerialWork and otherwise spreads its tiles over the shared pool, cut
-/// small enough that every worker gets one.
+/// The output of one element of an all-zero slice, for each sign pattern
+/// of its input (index 2·signbit(re) + signbit(im)).  In chebyshev_lanes
+/// such an element's row dot is +0 (every product v·(±0) added to the +0
+/// start leaves +0), so its terms depend on the element alone: T_1 = +0
+/// and T_k = +0 after.  This replays the tile's operations on one element
+/// in their order, so the table holds exactly the bytes the recurrence
+/// would write.
+template <typename Real>
+std::array<std::complex<Real>, 4> zero_slice_outputs(
+    const std::complex<Real>* a, std::size_t terms, Real center, Real inv_h) {
+  std::array<std::complex<Real>, 4> out;
+  for (std::size_t s = 0; s < 4; ++s) {
+    const Real x_re = (s & 2) != 0 ? -Real{0} : Real{0};
+    const Real x_im = (s & 1) != 0 ? -Real{0} : Real{0};
+    Real y_re = a[0].real() * x_re - a[0].imag() * x_im;
+    Real y_im = a[0].real() * x_im + a[0].imag() * x_re;
+    Real prev_re = x_re;  // T_{k−2}
+    Real prev_im = x_im;
+    Real cur_re = x_re;  // T_{k−1}
+    Real cur_im = x_im;
+    for (std::size_t k = 1; k < terms; ++k) {
+      const Real dot = Real{0};
+      const Real b_re = dot - center * cur_re;
+      const Real b_im = dot - center * cur_im;
+      const Real t_re =
+          k == 1 ? b_re * inv_h : Real{2} * b_re * inv_h - prev_re;
+      const Real t_im =
+          k == 1 ? b_im * inv_h : Real{2} * b_im * inv_h - prev_im;
+      y_re = y_re + (a[k].real() * t_re - a[k].imag() * t_im);
+      y_im = y_im + (a[k].real() * t_im + a[k].imag() * t_re);
+      prev_re = cur_re;
+      prev_im = cur_im;
+      cur_re = t_re;
+      cur_im = t_im;
+    }
+    out[s] = {y_re, y_im};
+  }
+  return out;
+}
+
+/// Blocks per tile for a component of \p rows rows over \p span blocks:
+/// about kTileAmplitudes amplitudes, in whole lane groups when it holds one.
+inline std::size_t tile_blocks(std::size_t rows, std::size_t span) {
+  std::size_t tile = std::max<std::size_t>(kTileAmplitudes / rows, 1);
+  if (tile > kGroupBlocks) tile -= tile % kGroupBlocks;
+  return std::min(tile, span);
+}
+
+/// Component \p c of blocks [first, last): a slice whose input is all
+/// exactly zero (either sign) is written from the zero-slice table, the
+/// rest are collected into tiles of tile_blocks() blocks.  \p workspace and
+/// \p blocks hold one tile.
+template <typename Real>
+void chebyshev_component(const ChebyshevRail<Real>& rail, std::size_t c,
+                         const std::complex<Real>* x, std::complex<Real>* y,
+                         std::size_t first, std::size_t last, Real* workspace,
+                         std::size_t* blocks, bool split_rows) {
+  if (first >= last) return;
+  ChebyshevRail<Real> part = rail;
+  part.d = rail.begin[c + 1] - rail.begin[c];
+  part.offsets += rail.begin[c];
+  part.members += rail.begin[c];
+  const std::size_t* members = part.members;
+  const std::size_t tile = tile_blocks(part.d, last - first);
+  std::size_t m = 0;
+  for (std::size_t b = first; b < last; ++b) {
+    const std::complex<Real>* xb = x + b * rail.d;
+    std::size_t r = 0;
+    while (r < part.d && xb[members[r]] == std::complex<Real>{}) ++r;
+    if (r < part.d) {
+      blocks[m++] = b;
+      if (m == tile) {
+        chebyshev_tile(part, rail.d, blocks, m, x, y, workspace, split_rows);
+        m = 0;
+      }
+      continue;
+    }
+    std::complex<Real>* yb = y + b * rail.d;
+    for (r = 0; r < part.d; ++r) {
+      const std::complex<Real> v = xb[members[r]];
+      yb[members[r]] = rail.zero_outputs[(std::signbit(v.real()) ? 2 : 0) +
+                                         (std::signbit(v.imag()) ? 1 : 0)];
+    }
+  }
+  if (m > 0)
+    chebyshev_tile(part, rail.d, blocks, m, x, y, workspace, split_rows);
+}
+
+/// The exponential action on \p count consecutive blocks, one component at
+/// a time.  The work is cut into units of (block range, component), block
+/// range major: below kSerialWork they run on the calling thread, otherwise
+/// the block ranges are cut so that every worker gets one and the units
+/// spread over the shared pool.  A single block whose largest component
+/// reaches kParallelRows runs serially and splits that component's rows
+/// instead.
 template <typename Real>
 void chebyshev_batch(const ChebyshevRail<Real>& rail,
                      const std::complex<Real>* x, std::complex<Real>* y,
                      std::size_t count) {
   if (count == 0) return;
-  const std::size_t d = rail.d;
-  std::size_t tile = std::clamp<std::size_t>(kTileAmplitudes / d, 1, count);
-  const std::size_t work = (rail.nonzeros + d) * rail.terms * count;
+  std::size_t largest = 0;
+  for (std::size_t c = 0; c < rail.components; ++c)
+    largest = std::max(largest, rail.begin[c + 1] - rail.begin[c]);
+  const std::size_t work = (rail.nonzeros + rail.d) * rail.terms * count;
   const std::size_t workers = ThreadPool::shared().size();
-  const bool parallel = count > 1 && work >= kSerialWork && workers > 1;
-  if (parallel) tile = std::min(tile, (count + workers - 1) / workers);
-  const std::size_t tiles = (count + tile - 1) / tile;
+  const bool split_rows = count == 1 && largest >= kParallelRows;
+  const bool parallel = !split_rows && count * rail.components > 1 &&
+                        work >= kSerialWork && workers > 1;
+  const std::size_t ranges = parallel ? std::min(workers, count) : 1;
+  const std::size_t span = (count + ranges - 1) / ranges;
+  std::size_t tile_amplitudes = 0;
+  for (std::size_t c = 0; c < rail.components; ++c) {
+    const std::size_t rows = rail.begin[c + 1] - rail.begin[c];
+    tile_amplitudes =
+        std::max(tile_amplitudes, rows * tile_blocks(rows, span));
+  }
   const auto run = [&](std::size_t lo, std::size_t hi) {
-    const std::unique_ptr<Real[]> workspace(new Real[6 * d * tile]);
-    for (std::size_t t = lo; t < hi; ++t) {
-      const std::size_t first = t * tile;
-      chebyshev_tile(rail, x + first * d, y + first * d,
-                     std::min(tile, count - first), workspace.get(),
-                     /*split_rows=*/count == 1 && d >= kParallelRows);
+    const std::unique_ptr<Real[]> workspace(new Real[6 * tile_amplitudes]);
+    // One fixed size, enough for any tile.  A per-call size (or an 8 KB
+    // stack array) measured 0.5 MB more peak RSS on Table 1 traffic,
+    // through glibc's per-thread arenas.
+    const std::unique_ptr<std::size_t[]> blocks(
+        new std::size_t[kTileAmplitudes]);
+    for (std::size_t unit = lo; unit < hi; ++unit) {
+      const std::size_t first = unit / rail.components * span;
+      chebyshev_component(rail, unit % rail.components, x, y, first,
+                          std::min(count, first + span), workspace.get(),
+                          blocks.get(), split_rows);
     }
   };
+  const std::size_t units = ranges * rail.components;
   if (parallel) {
-    parallel_for_chunked(0, tiles, run, /*min_parallel_size=*/2);
+    parallel_for_chunked(0, units, run, /*min_parallel_size=*/2);
   } else {
-    run(0, tiles);
+    run(0, units);
   }
 }
 
 }  // namespace
 
+ComponentCsr::ComponentCsr(const SparseMatrix& a) {
+  QTDA_REQUIRE(a.rows() == a.cols() && a.rows() > 0,
+               "exponential action needs a non-empty square matrix");
+  ConnectedComponents components = sparsity_components(a);
+  const auto& row_offsets = a.row_offsets();
+  const auto& col_indices = a.col_indices();
+  const auto& entries = a.values();
+  offsets.reserve(a.rows() + 1);
+  offsets.push_back(0);
+  cols.reserve(a.nonzeros());
+  values.reserve(a.nonzeros());
+  for (const std::size_t r : components.members) {
+    const std::size_t own = components.component_of[r];
+    for (std::size_t k = row_offsets[r]; k < row_offsets[r + 1]; ++k) {
+      if (components.component_of[col_indices[k]] != own) continue;
+      cols.push_back(components.local_of[col_indices[k]]);
+      values.push_back(entries[k]);
+    }
+    offsets.push_back(values.size());
+  }
+  members = std::move(components.members);
+  begin = std::move(components.begin);
+  begin.shrink_to_fit();  // reserved for one component per row
+}
+
+SparseExpOperator::SparseExpOperator(const SparseMatrix& a, double theta,
+                                     double lambda_min, double lambda_max,
+                                     const ExpmOptions& options)
+    : SparseExpOperator(std::make_shared<const ComponentCsr>(a), theta,
+                        lambda_min, lambda_max, options) {}
+
+SparseExpOperator::SparseExpOperator(std::shared_ptr<const ComponentCsr> a,
+                                     double theta, double lambda_min,
+                                     double lambda_max,
+                                     const ExpmOptions& options)
+    : a_(std::move(a)), theta_(theta) {
+  QTDA_REQUIRE(a_ != nullptr, "exponential action needs a matrix");
+  QTDA_REQUIRE(lambda_max >= lambda_min, "spectral bounds out of order");
+  center_ = 0.5 * (lambda_max + lambda_min);
+  half_width_ = 0.5 * (lambda_max - lambda_min);
+  coefficients_ = shared_exp_coefficients(theta_ * half_width_,
+                                          theta_ * center_, options.tolerance);
+  zero_outputs_ = zero_slice_outputs(coefficients_->data(),
+                                     coefficients_->size(), center_,
+                                     1.0 / half_width_);
+}
+
 void SparseExpOperator::ensure_f32() const {
   std::call_once(f32_once_, [this] {
-    const std::vector<double>& vals = a_->values();
+    const std::vector<double>& vals = a_->values;
     values_f32_.resize(vals.size());
     for (std::size_t i = 0; i < vals.size(); ++i)
       values_f32_[i] = static_cast<float>(vals[i]);
@@ -478,6 +635,9 @@ void SparseExpOperator::ensure_f32() const {
     for (const std::complex<double>& c : *coefficients_)
       coefficients_f32_.emplace_back(static_cast<float>(c.real()),
                                      static_cast<float>(c.imag()));
+    zero_outputs_f32_ = zero_slice_outputs(
+        coefficients_f32_.data(), coefficients_f32_.size(),
+        static_cast<float>(center_), 1.0f / static_cast<float>(half_width_));
   });
 }
 
@@ -489,15 +649,19 @@ void SparseExpOperator::apply(const std::complex<double>* x,
 void SparseExpOperator::apply_batch(const std::complex<double>* x,
                                     std::complex<double>* y,
                                     std::size_t count) const {
-  const ChebyshevRail<double> rail{a_->rows(),
-                                   a_->nonzeros(),
-                                   a_->row_offsets().data(),
-                                   a_->col_indices().data(),
-                                   a_->values().data(),
+  const ChebyshevRail<double> rail{a_->dimension(),
+                                   a_->values.size(),
+                                   a_->offsets.data(),
+                                   a_->cols.data(),
+                                   a_->values.data(),
                                    coefficients_->data(),
                                    coefficients_->size(),
                                    center_,
-                                   1.0 / half_width_};
+                                   1.0 / half_width_,
+                                   a_->members.data(),
+                                   a_->begin.data(),
+                                   a_->components(),
+                                   zero_outputs_.data()};
   chebyshev_batch(rail, x, y, count);
 }
 
@@ -507,16 +671,19 @@ void SparseExpOperator::apply_batch_f32(const std::complex<float>* x,
   // The double recurrence term for term in float: float CSR values, float
   // coefficients, float workspace, with c and 1/h narrowed once up front.
   ensure_f32();
-  const ChebyshevRail<float> rail{
-      a_->rows(),
-      a_->nonzeros(),
-      a_->row_offsets().data(),
-      a_->col_indices().data(),
-      values_f32_.data(),
-      coefficients_f32_.data(),
-      coefficients_f32_.size(),
-      static_cast<float>(center_),
-      1.0f / static_cast<float>(half_width_)};
+  const ChebyshevRail<float> rail{a_->dimension(),
+                                  values_f32_.size(),
+                                  a_->offsets.data(),
+                                  a_->cols.data(),
+                                  values_f32_.data(),
+                                  coefficients_f32_.data(),
+                                  coefficients_f32_.size(),
+                                  static_cast<float>(center_),
+                                  1.0f / static_cast<float>(half_width_),
+                                  a_->members.data(),
+                                  a_->begin.data(),
+                                  a_->components(),
+                                  zero_outputs_f32_.data()};
   chebyshev_batch(rail, x, y, count);
 }
 

@@ -1,6 +1,7 @@
 #include "linalg/sparse_matrix.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/error.hpp"
 
@@ -159,6 +160,66 @@ SparseMatrix sparse_add(const SparseMatrix& a, const SparseMatrix& b) {
         triplets.push_back({r, cols[k], vals[k]});
   }
   return SparseMatrix::from_triplets(a.rows(), a.cols(), std::move(triplets));
+}
+
+ComponentUnion::ComponentUnion(std::size_t n) : parent_(n) {
+  std::iota(parent_.begin(), parent_.end(), std::size_t{0});
+}
+
+/// Root with path halving.
+std::size_t ComponentUnion::find(std::size_t i) {
+  while (parent_[i] != i) {
+    parent_[i] = parent_[parent_[i]];
+    i = parent_[i];
+  }
+  return i;
+}
+
+/// Merges under the smaller root, so every root is its set's smallest index.
+bool ComponentUnion::unite(std::size_t i, std::size_t j) {
+  i = find(i);
+  j = find(j);
+  if (i == j) return false;
+  if (i > j) std::swap(i, j);
+  parent_[j] = i;
+  return true;
+}
+
+ConnectedComponents ComponentUnion::components() {
+  ConnectedComponents c;
+  const std::size_t n = parent_.size();
+  c.component_of.resize(n);
+  c.local_of.resize(n);
+  c.begin.reserve(n + 1);  // at most n components
+  c.begin.assign(1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t root = find(i);
+    if (root == i) {
+      c.component_of[i] = c.begin.size() - 1;
+      c.begin.push_back(0);
+    } else {
+      c.component_of[i] = c.component_of[root];
+    }
+    // Members arrive in ascending order: i's rank is the count so far.
+    c.local_of[i] = c.begin[c.component_of[i] + 1]++;
+  }
+  std::partial_sum(c.begin.begin(), c.begin.end(), c.begin.begin());
+  c.members.resize(n);
+  for (std::size_t i = 0; i < n; ++i)
+    c.members[c.begin[c.component_of[i]] + c.local_of[i]] = i;
+  return c;
+}
+
+ConnectedComponents sparsity_components(const SparseMatrix& a) {
+  QTDA_REQUIRE(a.rows() == a.cols(), "components need a square matrix");
+  const auto& offsets = a.row_offsets();
+  const auto& cols = a.col_indices();
+  const auto& values = a.values();
+  ComponentUnion sets(a.rows());
+  for (std::size_t r = 0; r < a.rows(); ++r)
+    for (std::size_t k = offsets[r]; k < offsets[r + 1]; ++k)
+      if (values[k] != 0.0) sets.unite(r, cols[k]);
+  return sets.components();
 }
 
 }  // namespace qtda

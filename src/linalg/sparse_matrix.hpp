@@ -6,7 +6,10 @@
 /// products assemble the Laplacian without densifying, and the complex
 /// matvec feeds the matrix-free exp(iθΔ̃) oracle of the sparse QPE path,
 /// and symmetric_eigenvalues() solves the CSR matrix block by block.
-/// Dense copies remain available for the small dense algorithms.
+/// Dense copies remain available for the small dense algorithms.  Padded
+/// Laplacians are block-diagonal up to a permutation; sparsity_components()
+/// finds those blocks once for both the eigensolver and the exp(iθΔ̃)
+/// oracle.
 #pragma once
 
 #include <complex>
@@ -81,5 +84,40 @@ class SparseMatrix {
 /// C = A + B (shapes must match); structural zeros produced by cancellation
 /// are dropped.
 SparseMatrix sparse_add(const SparseMatrix& a, const SparseMatrix& b);
+
+/// The connected components of an undirected graph on vertices 0..n−1,
+/// numbered by smallest member.  Each component lists its members in
+/// ascending order, so a vertex's rank in its component keeps the original
+/// order.
+struct ConnectedComponents {
+  std::vector<std::size_t> members;       ///< vertices grouped by component
+  std::vector<std::size_t> begin;         ///< c: members[begin[c], begin[c+1])
+  std::vector<std::size_t> component_of;  ///< vertex → its component
+  std::vector<std::size_t> local_of;      ///< vertex → rank in its component
+
+  std::size_t vertices() const { return component_of.size(); }
+  std::size_t components() const { return begin.size() - 1; }
+  std::size_t size(std::size_t c) const { return begin[c + 1] - begin[c]; }
+};
+
+/// Union-find over n vertices, read out as ConnectedComponents.
+class ComponentUnion {
+ public:
+  explicit ComponentUnion(std::size_t n);
+
+  /// Joins the sets of \p i and \p j; returns whether they were distinct.
+  bool unite(std::size_t i, std::size_t j);
+
+  ConnectedComponents components();
+
+ private:
+  std::size_t find(std::size_t i);
+
+  std::vector<std::size_t> parent_;
+};
+
+/// Components of the sparsity graph of the square matrix \p a: i ~ j when
+/// a stored a(i, j) is nonzero (stored zeros join nothing).
+ConnectedComponents sparsity_components(const SparseMatrix& a);
 
 }  // namespace qtda

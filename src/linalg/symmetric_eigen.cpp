@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "common/cancel.hpp"
 #include "common/error.hpp"
@@ -16,85 +17,35 @@ namespace {
 /// entries as a dense row-major n_b × n_b matrix; members keep ascending
 /// original order, so local (p, q) order is the original (p, q) order.
 /// Entries between different blocks are zero and are not stored.
-struct BlockPartition {
-  std::size_t n = 0;
-  std::vector<std::size_t> members;   // original indices, grouped by block
-  std::vector<std::size_t> begin;     // block b: members[begin[b], begin[b+1])
-  std::vector<std::size_t> block_of;  // original index → its block
-  std::vector<std::size_t> local_of;  // original index → row in its block
-  std::vector<std::size_t> offset;    // block b's matrix starts at a[offset[b]]
-  std::vector<double> a;              // the block matrices, back to back
+struct BlockPartition : ConnectedComponents {
+  std::vector<std::size_t> offset;  // block b's matrix starts at a[offset[b]]
+  std::vector<double> a;            // the block matrices, back to back
 
-  std::size_t blocks() const { return begin.size() - 1; }
-  std::size_t size(std::size_t b) const { return begin[b + 1] - begin[b]; }
+  /// Lays out zeroed block matrices for the components \p c.
+  explicit BlockPartition(ConnectedComponents c)
+      : ConnectedComponents(std::move(c)) {
+    offset.assign(components() + 1, 0);
+    for (std::size_t b = 0; b < components(); ++b)
+      offset[b + 1] = offset[b] + size(b) * size(b);
+    a.assign(offset.back(), 0.0);
+  }
+
   /// Where row \p i of the original matrix, restricted to i's block,
   /// starts in a.
   std::size_t row_start(std::size_t i) const {
-    return offset[block_of[i]] + local_of[i] * size(block_of[i]);
+    return offset[component_of[i]] + local_of[i] * size(component_of[i]);
   }
 };
 
-/// Union-find root with path halving.
-std::size_t find_root(std::vector<std::size_t>& parent, std::size_t i) {
-  while (parent[i] != i) {
-    parent[i] = parent[parent[i]];
-    i = parent[i];
-  }
-  return i;
-}
-
-/// Merges the sets of \p i and \p j under the smaller root, so every root is
-/// its set's smallest index; returns whether the sets were distinct.
-bool unite(std::vector<std::size_t>& parent, std::size_t i, std::size_t j) {
-  i = find_root(parent, i);
-  j = find_root(parent, j);
-  if (i == j) return false;
-  if (i > j) std::swap(i, j);
-  parent[j] = i;
-  return true;
-}
-
-/// Lays out the blocks the sets in \p parent define, numbered by smallest
-/// member, with zeroed block matrices.
-BlockPartition lay_out_blocks(std::vector<std::size_t>& parent) {
-  BlockPartition p;
-  p.n = parent.size();
-  p.block_of.resize(p.n);
-  p.local_of.resize(p.n);
-  p.begin.reserve(p.n + 1);  // at most n blocks
-  p.begin.assign(1, 0);
-  for (std::size_t i = 0; i < p.n; ++i) {
-    const std::size_t root = find_root(parent, i);
-    if (root == i) {
-      p.block_of[i] = p.begin.size() - 1;
-      p.begin.push_back(0);
-    } else {
-      p.block_of[i] = p.block_of[root];
-    }
-    // Members arrive in ascending order: i's rank is the count so far.
-    p.local_of[i] = p.begin[p.block_of[i] + 1]++;
-  }
-  std::partial_sum(p.begin.begin(), p.begin.end(), p.begin.begin());
-  p.members.resize(p.n);
-  for (std::size_t i = 0; i < p.n; ++i)
-    p.members[p.begin[p.block_of[i]] + p.local_of[i]] = i;
-  p.offset.assign(p.blocks() + 1, 0);
-  for (std::size_t b = 0; b < p.blocks(); ++b)
-    p.offset[b + 1] = p.offset[b] + p.size(b) * p.size(b);
-  p.a.assign(p.offset.back(), 0.0);
-  return p;
-}
-
 BlockPartition partition(const RealMatrix& a) {
   const std::size_t n = a.rows();
-  std::vector<std::size_t> parent(n);
-  std::iota(parent.begin(), parent.end(), std::size_t{0});
-  std::size_t sets = n;
-  for (std::size_t i = 0; i < n && sets > 1; ++i)
+  ComponentUnion sets(n);
+  std::size_t count = n;
+  for (std::size_t i = 0; i < n && count > 1; ++i)
     for (std::size_t j = i + 1; j < n; ++j)
-      if ((a(i, j) != 0.0 || a(j, i) != 0.0) && unite(parent, i, j)) --sets;
-  BlockPartition p = lay_out_blocks(parent);
-  for (std::size_t b = 0; b < p.blocks(); ++b) {
+      if ((a(i, j) != 0.0 || a(j, i) != 0.0) && sets.unite(i, j)) --count;
+  BlockPartition p(sets.components());
+  for (std::size_t b = 0; b < p.components(); ++b) {
     const std::size_t nb = p.size(b);
     const std::size_t* m = p.members.data() + p.begin[b];
     double* block = p.a.data() + p.offset[b];
@@ -105,29 +56,23 @@ BlockPartition partition(const RealMatrix& a) {
 }
 
 BlockPartition partition(const SparseMatrix& a) {
-  const std::size_t n = a.rows();
   const auto& offsets = a.row_offsets();
   const auto& cols = a.col_indices();
   const auto& values = a.values();
-  std::vector<std::size_t> parent(n);
-  std::iota(parent.begin(), parent.end(), std::size_t{0});
-  for (std::size_t r = 0; r < n; ++r)
-    for (std::size_t k = offsets[r]; k < offsets[r + 1]; ++k)
-      if (values[k] != 0.0) unite(parent, r, cols[k]);
-  BlockPartition p = lay_out_blocks(parent);
+  BlockPartition p(sparsity_components(a));
   // Stored zeros between blocks are dropped; the rest are assigned exactly
   // as to_dense() would.
-  for (std::size_t r = 0; r < n; ++r) {
+  for (std::size_t r = 0; r < a.rows(); ++r) {
     double* row = p.a.data() + p.row_start(r);
     for (std::size_t k = offsets[r]; k < offsets[r + 1]; ++k)
-      if (p.block_of[cols[k]] == p.block_of[r])
+      if (p.component_of[cols[k]] == p.component_of[r])
         row[p.local_of[cols[k]]] = values[k];
   }
   return p;
 }
 
 bool blocks_symmetric(const BlockPartition& p, double tol) {
-  for (std::size_t b = 0; b < p.blocks(); ++b) {
+  for (std::size_t b = 0; b < p.components(); ++b) {
     const std::size_t nb = p.size(b);
     const double* block = p.a.data() + p.offset[b];
     for (std::size_t r = 0; r < nb; ++r)
@@ -141,9 +86,9 @@ bool blocks_symmetric(const BlockPartition& p, double tol) {
 /// in the original row-major order: the dense sum minus its exact zeros.
 double sum_of_squares(const BlockPartition& p, bool diagonal) {
   double s = 0.0;
-  for (std::size_t i = 0; i < p.n; ++i) {
+  for (std::size_t i = 0; i < p.vertices(); ++i) {
     const double* row = p.a.data() + p.row_start(i);
-    const std::size_t nb = p.size(p.block_of[i]);
+    const std::size_t nb = p.size(p.component_of[i]);
     for (std::size_t j = 0; j < nb; ++j)
       if (diagonal || j != p.local_of[i]) s += row[j] * row[j];
   }
@@ -211,16 +156,15 @@ JacobiState run_jacobi(BlockPartition blocks, const JacobiOptions& options,
   QTDA_REQUIRE(blocks_symmetric(blocks, 1e-9 * std::max(1.0, max_entry)),
                "eigendecomposition needs a symmetric matrix");
 
-  JacobiState state;
-  state.blocks = std::move(blocks);
+  JacobiState state{std::move(blocks), {}, 0};
   BlockPartition& p = state.blocks;
   if (want_vectors) {
     state.v.assign(p.a.size(), 0.0);
-    for (std::size_t b = 0; b < p.blocks(); ++b)
+    for (std::size_t b = 0; b < p.components(); ++b)
       for (std::size_t r = 0; r < p.size(b); ++r)
         state.v[p.offset[b] + r * p.size(b) + r] = 1.0;
   }
-  if (p.n <= 1) return state;
+  if (p.vertices() <= 1) return state;
 
   const double frob = std::sqrt(sum_of_squares(p, /*diagonal=*/true));
   const double threshold_sq =
@@ -228,7 +172,7 @@ JacobiState run_jacobi(BlockPartition blocks, const JacobiOptions& options,
 
   for (state.sweeps = 0; state.sweeps < options.max_sweeps; ++state.sweeps) {
     if (sum_of_squares(p, /*diagonal=*/false) <= threshold_sq) return state;
-    for (std::size_t b = 0; b < p.blocks(); ++b)
+    for (std::size_t b = 0; b < p.components(); ++b)
       sweep_block(p.a.data() + p.offset[b],
                   want_vectors ? state.v.data() + p.offset[b] : nullptr,
                   p.size(b));
@@ -251,8 +195,8 @@ JacobiState run_jacobi(const Matrix& input, const JacobiOptions& options,
 
 /// Diagonal of the converged blocks, in original row order.
 RealVector diagonal(const BlockPartition& p) {
-  RealVector values(p.n);
-  for (std::size_t i = 0; i < p.n; ++i)
+  RealVector values(p.vertices());
+  for (std::size_t i = 0; i < p.vertices(); ++i)
     values[i] = p.a[p.row_start(i) + p.local_of[i]];
   return values;
 }
@@ -287,7 +231,7 @@ SymmetricEigenResult symmetric_eigen(const RealMatrix& a,
   RealMatrix sorted_vectors(n, n);
   for (std::size_t j = 0; j < n; ++j) {
     const std::size_t col = order[j];
-    const std::size_t b = p.block_of[col];
+    const std::size_t b = p.component_of[col];
     const std::size_t nb = p.size(b);
     const double* v = state.v.data() + p.offset[b];
     sorted_values[j] = result.values[col];
@@ -313,9 +257,10 @@ RealVector symmetric_eigenvalues(const SparseMatrix& a,
 std::vector<std::size_t> jacobi_block_sizes(const SparseMatrix& a) {
   QTDA_REQUIRE(a.rows() == a.cols(),
                "eigendecomposition needs a square matrix");
-  const BlockPartition p = partition(a);
-  std::vector<std::size_t> sizes(p.blocks());
-  for (std::size_t b = 0; b < p.blocks(); ++b) sizes[b] = p.size(b);
+  const ConnectedComponents blocks = sparsity_components(a);
+  std::vector<std::size_t> sizes(blocks.components());
+  for (std::size_t b = 0; b < blocks.components(); ++b)
+    sizes[b] = blocks.size(b);
   return sizes;
 }
 

@@ -141,14 +141,20 @@ void BasicStatevector<Real>::single_qubit_kernel(C u00, C u01, C u10, C u11,
   const std::uint64_t dim = dimension();
   C* amp = amplitudes_.data();
 
-  // Uncontrolled gates sweep disjoint contiguous pair runs — the top hot
-  // loop, dispatched to the vector kernels (bitwise identical to the scalar
-  // expressions below; see simd_kernels.hpp).
+  // The indices below the lowest target or control bit form contiguous
+  // runs that share their target and control bits, so every run whose
+  // controls are set is one pair sweep — the top hot loop, dispatched to
+  // the vector kernels (bitwise identical to the scalar expressions below;
+  // see simd_kernels.hpp).
   const SimdLevel level = active_simd_level();
-  if (level != SimdLevel::kScalar && cmask == 0 && mask >= kMinSimdRun) {
+  const std::uint64_t bits = mask | cmask;
+  const std::uint64_t run = bits & (~bits + 1);
+  if (level != SimdLevel::kScalar && run >= kMinSimdRun) {
     const C u[4] = {u00, u01, u10, u11};
-    for (std::uint64_t block = 0; block < dim; block += 2 * mask)
-      simd::pair_sweep(level, amp + block, amp + block + mask, mask, u);
+    for (std::uint64_t i0 = 0; i0 < dim; i0 += run) {
+      if ((i0 & mask) == 0 && (i0 & cmask) == cmask)
+        simd::pair_sweep(level, amp + i0, amp + (i0 | mask), run, u);
+    }
     return;
   }
 

@@ -10,6 +10,8 @@
 /// bit-identical for the sweeps by construction (same products, same
 /// rounding), but the CSR matvec deliberately lane-splits its dot products,
 /// so whole-workload fingerprints are only pinned for the scalar paths.
+/// The purified block-diagonal QPE scenario at the end is pinned at both
+/// levels, to bytes captured from the whole-matrix Chebyshev recurrence.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +21,7 @@
 
 #include "bit_identity_scenarios.hpp"
 #include "common/cpu_features.hpp"
+#include "takens_fixture.hpp"
 
 namespace qtda {
 namespace {
@@ -75,6 +78,30 @@ TEST(BitIdentity, EnginesAgreeByteForByteAtEverySimdLevel) {
   EXPECT_EQ(by_name.at("dense_circuit"), by_name.at("sharded_circuit"));
   EXPECT_EQ(by_name.at("dense_marginal"), by_name.at("sharded_marginal"));
   EXPECT_EQ(by_name.at("dense_plan_fused"), by_name.at("sharded_plan_fused"));
+}
+
+// The §5 purified register on a block-diagonal Hamiltonian: Takens window
+// 0's padded Δ_0 (15 qubits at t = 3), where the sparse oracle runs per
+// connected block and skips the all-zero (block, component) slices.  The
+// expected bytes were captured before either existed, from the
+// whole-matrix recurrence, at both fusion cost models (the scalar level
+// fuses differently from the vector levels); signed zeros are hashed too.
+TEST(BitIdentity, PurifiedBlockDiagonalQpeKeepsWholeMatrixBytes) {
+  const auto clouds = testing::takens_windows();
+  EstimatorOptions options;
+  options.backend = EstimatorBackend::kCircuitSparse;
+  options.precision_qubits = 3;
+  const Circuit circuit =
+      build_qtda_circuit(testing::takens_laplacian(clouds, 0, 0), options);
+  const ExecutionPlan plan = compile_circuit(circuit, CompilerOptions{});
+  ASSERT_EQ(plan.num_qubits(), 15u);
+  Statevector psi(plan.num_qubits());
+  psi.apply_plan(plan);
+  const std::uint64_t expected = active_simd_level() == SimdLevel::kScalar
+                                     ? 0xf89e11822d2c94b3ULL
+                                     : 0xbc979e66654eefc0ULL;
+  EXPECT_EQ(testing::fingerprint_amplitudes(psi.amplitudes()), expected)
+      << "simd=" << simd_level_name(active_simd_level());
 }
 
 }  // namespace

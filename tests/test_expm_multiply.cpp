@@ -8,6 +8,7 @@
 #include <complex>
 #include <cstdint>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/cpu_features.hpp"
@@ -249,18 +250,15 @@ void run_batch(const SparseExpOperator& op,
   op.apply_batch_f32(x.data(), y.data(), count);
 }
 
-/// apply_batch over `count` random blocks equals reference_blocks in every
-/// bit of every amplitude.
+/// apply_batch over the blocks of \p x equals reference_blocks in every bit
+/// of every amplitude, signed zeros included.
 template <typename Real>
-void expect_batch_bit_exact(const SparseMatrix& a, double theta,
-                            double lambda_min, double lambda_max,
-                            std::size_t count, std::uint64_t seed) {
+void expect_matches_reference(const SparseMatrix& a, double theta,
+                              double lambda_min, double lambda_max,
+                              const std::vector<std::complex<Real>>& x) {
   const SparseExpOperator op(a, theta, lambda_min, lambda_max);
-  Rng rng(seed);
-  std::vector<std::complex<Real>> x(a.rows() * count), y(x.size());
-  for (auto& v : x)
-    v = {static_cast<Real>(rng.uniform() * 2.0 - 1.0),
-         static_cast<Real>(rng.uniform() * 2.0 - 1.0)};
+  const std::size_t count = x.size() / a.rows();
+  std::vector<std::complex<Real>> y(x.size());
   run_batch(op, x, y, count);
   const std::vector<std::complex<Real>> expected =
       reference_blocks(a, op, lambda_min, lambda_max, x);
@@ -272,6 +270,19 @@ void expect_batch_bit_exact(const SparseMatrix& a, double theta,
   EXPECT_EQ(mismatches, 0u)
       << "d=" << a.rows() << " count=" << count << " terms=" << op.num_terms()
       << " simd=" << simd_level_name(active_simd_level());
+}
+
+/// expect_matches_reference on `count` random blocks.
+template <typename Real>
+void expect_batch_bit_exact(const SparseMatrix& a, double theta,
+                            double lambda_min, double lambda_max,
+                            std::size_t count, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::complex<Real>> x(a.rows() * count);
+  for (auto& v : x)
+    v = {static_cast<Real>(rng.uniform() * 2.0 - 1.0),
+         static_cast<Real>(rng.uniform() * 2.0 - 1.0)};
+  expect_matches_reference(a, theta, lambda_min, lambda_max, x);
 }
 
 template <typename Real>
@@ -329,6 +340,131 @@ TEST(SparseExpKernel, SingleLargeBlockRowSplitMatchesSerialRecurrence) {
                                  1, 12);
   expect_batch_bit_exact<float>(a, 2.0, gershgorin_min(a), gershgorin_max(a),
                                 1, 13);
+}
+
+/// A PSD matrix that is block-diagonal up to a permutation: random blocks
+/// of the given sizes with their rows dealt over the whole index range, and
+/// one stored zero between the first two blocks (an entry that underflows
+/// when the matrix is scaled down and back up).
+SparseMatrix scattered_blocks(const std::vector<std::size_t>& sizes,
+                              Rng& rng) {
+  std::size_t n = 0;
+  for (const std::size_t size : sizes) n += size;
+  std::vector<std::size_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = i;
+  for (std::size_t i = n - 1; i > 0; --i)
+    std::swap(order[i], order[rng.uniform_index(i + 1)]);
+  std::vector<Triplet> triplets;
+  std::size_t first = 0;
+  for (const std::size_t size : sizes) {
+    const SparseMatrix block =
+        size == 1 ? SparseMatrix::from_triplets(1, 1, {{0, 0, 0.5}})
+                  : random_sparse_psd(size, rng);
+    for (std::size_t r = 0; r < size; ++r)
+      for (std::size_t k = block.row_offsets()[r];
+           k < block.row_offsets()[r + 1]; ++k)
+        triplets.push_back({order[first + r],
+                            order[first + block.col_indices()[k]],
+                            block.values()[k]});
+    first += size;
+  }
+  triplets.push_back({order[0], order[sizes[0]], 1e-200});
+  triplets.push_back({order[sizes[0]], order[0], 1e-200});
+  return SparseMatrix::from_triplets(n, n, std::move(triplets))
+      .scaled(1e-200)
+      .scaled(1e200);
+}
+
+/// `count` blocks of dimension n whose support is mixed: each block is
+/// live on some components and exactly zero, of random sign, on the rest.
+/// Block 0 is zero everywhere and block 1 live everywhere.  One live
+/// element in five is a signed zero too, so a live slice may start with
+/// zeros.
+template <typename Real>
+std::vector<std::complex<Real>> mixed_support_blocks(
+    const ConnectedComponents& components, std::size_t count, Rng& rng) {
+  const std::size_t n = components.vertices();
+  std::vector<std::complex<Real>> x(n * count);
+  for (std::size_t b = 0; b < count; ++b) {
+    std::vector<bool> live(components.components());
+    for (std::size_t c = 0; c < live.size(); ++c)
+      live[c] = b == 1 || (b != 0 && rng.uniform() < 0.3);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto part = [&] {
+        if (live[components.component_of[i]] && rng.uniform() >= 0.2)
+          return static_cast<Real>(rng.uniform() * 2.0 - 1.0);
+        return rng.uniform() < 0.5 ? -Real{0} : Real{0};
+      };
+      const Real re = part();
+      x[b * n + i] = {re, part()};
+    }
+  }
+  return x;
+}
+
+template <typename Real>
+void expect_block_diagonal_bit_exact() {
+  Rng rng(89);
+  const SparseMatrix a = scattered_blocks({1, 3, 12, 40, 72}, rng);
+  const ConnectedComponents components = sparsity_components(a);
+  ASSERT_GE(components.components(), 5u);
+  std::size_t stored_zeros = 0;
+  for (const double v : a.values()) stored_zeros += v == 0.0 ? 1 : 0;
+  ASSERT_EQ(stored_zeros, 2u);
+  const double lmin = gershgorin_min(a);
+  const double lmax = gershgorin_max(a);
+  // 3 blocks run serially; 300 cross the tile and the serial-work gate.
+  for (const std::size_t count : {std::size_t{3}, std::size_t{300}}) {
+    expect_matches_reference(
+        a, 16.0, lmin, lmax, mixed_support_blocks<Real>(components, count, rng));
+  }
+  // A long expansion adds enough signed-zero terms that a zero input's
+  // output is +0 whatever its sign.  Short ones keep the sign, so the
+  // zero-slice table must be keyed by it: θ = 10^-3 keeps 4 terms, and
+  // λmin = λmax leaves the single phase term a_0·x.
+  expect_matches_reference(a, 1e-3, lmin, lmax,
+                           mixed_support_blocks<Real>(components, 300, rng));
+  expect_matches_reference(a, 2.0, 1.5, 1.5,
+                           mixed_support_blocks<Real>(components, 300, rng));
+}
+
+TEST(SparseExpKernel, BlockDiagonalMixedSupportMatchesWholeMatrixRecurrence) {
+  expect_block_diagonal_bit_exact<double>();
+}
+
+TEST(SparseExpKernel, FloatRailBlockDiagonalMatchesWholeMatrixRecurrence) {
+  expect_block_diagonal_bit_exact<float>();
+}
+
+template <typename Real>
+void expect_block_alone_equals_block_in_batch() {
+  Rng rng(97);
+  const SparseMatrix a = scattered_blocks({2, 9, 30, 87}, rng);
+  const SparseExpOperator op(a, 8.0, gershgorin_min(a), gershgorin_max(a));
+  const std::size_t n = a.rows();
+  const std::size_t count = 200;
+  const std::vector<std::complex<Real>> x =
+      mixed_support_blocks<Real>(sparsity_components(a), count, rng);
+  std::vector<std::complex<Real>> y(x.size());
+  run_batch(op, x, y, count);
+  std::size_t differing = 0;
+  for (std::size_t b = 0; b < count; ++b) {
+    const std::vector<std::complex<Real>> xb(x.begin() + b * n,
+                                             x.begin() + (b + 1) * n);
+    std::vector<std::complex<Real>> yb(n);
+    run_batch(op, xb, yb, 1);
+    if (std::memcmp(yb.data(), y.data() + b * n, n * sizeof(yb[0])) != 0)
+      ++differing;
+  }
+  EXPECT_EQ(differing, 0u) << "simd=" << simd_level_name(active_simd_level());
+}
+
+TEST(SparseExpKernel, BlockAloneEqualsBlockInMixedSupportBatch) {
+  expect_block_alone_equals_block_in_batch<double>();
+}
+
+TEST(SparseExpKernel, FloatRailBlockAloneEqualsBlockInMixedSupportBatch) {
+  expect_block_alone_equals_block_in_batch<float>();
 }
 
 TEST(ExpmMultiply, RejectsBadShapes) {

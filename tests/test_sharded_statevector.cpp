@@ -102,8 +102,8 @@ Circuit random_circuit(std::size_t q, Rng& rng) {
         triplets.push_back({i + 1, i, v});
       }
     }
-    auto h = std::make_shared<const SparseMatrix>(
-        SparseMatrix::from_triplets(4, 4, std::move(triplets)));
+    const SparseMatrix h =
+        SparseMatrix::from_triplets(4, 4, std::move(triplets));
     circuit.operator_gate(
         std::make_shared<SparseExpOperator>(h, 1.0, -4.0, 6.0),
         {q - 2, q - 1}, {0});
