@@ -1,15 +1,15 @@
 /// \file micro_sharded_statevector.cpp
-/// \brief google-benchmark microbenches for the slab-parallel engine.
+/// \brief google-benchmark microbenches for the statevector engine's
+/// chunked sweeps.
 ///
 /// The acceptance workload pairs BM_GateSweepDense/q against
-/// BM_GateSweepSharded/q/workers (and likewise for the operator oracle):
-/// identical circuits on the serial dense backend and on the sharded
-/// backend, so the recorded BENCH_micro.json exposes the speedup directly.
-/// Note the dense engine stays serial below 2^17 amplitudes by design, so
-/// at q = 14 the sharded engine's private worker pool is the only
-/// parallelism in play — on a multi-core host the ratio is the worker
-/// scaling; on a single-core host it degrades to the slab bookkeeping
-/// overhead.
+/// BM_GateSweepSharded/q/chunks (and likewise for the operator oracle):
+/// identical circuits on the serial backend and on the same backend with
+/// its gate sweeps split into `chunks` shared-pool tasks, so the recorded
+/// BENCH_micro.json exposes the speedup directly.  The operator gate keeps
+/// its own shared-pool batching at every chunk count, so its /chunks
+/// entries time the same path as the serial one.  Each entry ends by
+/// checking that the state is still finite, normal and of unit norm.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -18,6 +18,7 @@
 #include "linalg/sparse_matrix.hpp"
 #include "quantum/backend.hpp"
 #include "quantum/circuit.hpp"
+#include "unit_output_check.hpp"
 
 namespace {
 
@@ -56,6 +57,7 @@ void BM_GateSweepDense(benchmark::State& state) {
     backend.apply_circuit(circuit);
     benchmark::DoNotOptimize(backend.state().amplitudes().data());
   }
+  if (!check_unit_output(state, backend.state().amplitudes())) return;
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(circuit.gate_count()) *
                           static_cast<std::int64_t>(1ULL << q));
@@ -64,13 +66,14 @@ BENCHMARK(BM_GateSweepDense)->DenseRange(12, 16, 2);
 
 void BM_GateSweepSharded(benchmark::State& state) {
   const auto q = static_cast<std::size_t>(state.range(0));
-  const auto workers = static_cast<std::size_t>(state.range(1));
-  ShardedStatevectorBackend backend(q, workers);
+  const auto chunks = static_cast<std::size_t>(state.range(1));
+  StatevectorBackend backend(q, chunks);
   const Circuit circuit = sweep_circuit(q);
   for (auto _ : state) {
     backend.apply_circuit(circuit);
-    benchmark::DoNotOptimize(backend.state().slab_begin(0));
+    benchmark::DoNotOptimize(backend.state().amplitudes().data());
   }
+  if (!check_unit_output(state, backend.state().amplitudes())) return;
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(circuit.gate_count()) *
                           static_cast<std::int64_t>(1ULL << q));
@@ -95,21 +98,23 @@ void BM_OperatorOracleDense(benchmark::State& state) {
     backend.apply_operator(op, targets, {0});
     benchmark::DoNotOptimize(backend.state().amplitudes().data());
   }
+  check_unit_output(state, backend.state().amplitudes());
 }
 BENCHMARK(BM_OperatorOracleDense)->DenseRange(12, 14, 2);
 
 void BM_OperatorOracleSharded(benchmark::State& state) {
   const auto q = static_cast<std::size_t>(state.range(0));
-  const auto workers = static_cast<std::size_t>(state.range(1));
+  const auto chunks = static_cast<std::size_t>(state.range(1));
   const std::size_t m = q - 2;
-  ShardedStatevectorBackend backend(q, workers);
+  StatevectorBackend backend(q, chunks);
   const SparseExpOperator op(tridiagonal_hamiltonian(m), 1.0, 0.0, 4.0);
   std::vector<std::size_t> targets;
   for (std::size_t w = 2; w < q; ++w) targets.push_back(w);
   for (auto _ : state) {
     backend.apply_operator(op, targets, {0});
-    benchmark::DoNotOptimize(backend.state().slab_begin(0));
+    benchmark::DoNotOptimize(backend.state().amplitudes().data());
   }
+  check_unit_output(state, backend.state().amplitudes());
 }
 BENCHMARK(BM_OperatorOracleSharded)
     ->Args({12, 4})
@@ -119,13 +124,14 @@ BENCHMARK(BM_OperatorOracleSharded)
 
 void BM_ShardedMarginals(benchmark::State& state) {
   const auto q = static_cast<std::size_t>(state.range(0));
-  const auto workers = static_cast<std::size_t>(state.range(1));
-  ShardedStatevectorBackend backend(q, workers);
+  const auto chunks = static_cast<std::size_t>(state.range(1));
+  StatevectorBackend backend(q, chunks);
   backend.apply_circuit(sweep_circuit(q));
   const std::vector<std::size_t> measured{0, 1, 2};
   for (auto _ : state) {
     benchmark::DoNotOptimize(backend.marginal_probabilities(measured));
   }
+  check_unit_output(state, backend.state().amplitudes());
 }
 BENCHMARK(BM_ShardedMarginals)->Args({14, 1})->Args({14, 4});
 

@@ -41,6 +41,7 @@
 #include "takens_fixture.hpp"
 #include "topology/laplacian.hpp"
 #include "topology/random_complex.hpp"
+#include "unit_output_check.hpp"
 
 namespace {
 
@@ -131,28 +132,6 @@ void BM_SparseOracleControlledPower(benchmark::State& state) {
   state.counters["terms"] = static_cast<double>(terms);
   state.counters["nnz"] =
       static_cast<double>(fixture.sparse.matrix.nonzeros());
-}
-
-/// Fails the run unless every amplitude is finite and normal (or zero) and
-/// the batch is still a unit vector.
-bool check_unit_output(benchmark::State& state,
-                       const std::vector<std::complex<double>>& y) {
-  double out_norm = 0.0;
-  for (const auto& v : y) {
-    for (const double part : {v.real(), v.imag()}) {
-      if (!std::isfinite(part) ||
-          (part != 0.0 && std::fpclassify(part) != FP_NORMAL)) {
-        state.SkipWithError("operator output is not finite and normal");
-        return false;
-      }
-    }
-    out_norm += std::norm(v);
-  }
-  if (std::abs(out_norm - 1.0) > 1e-9) {
-    state.SkipWithError("operator output lost unit norm");
-    return false;
-  }
-  return true;
 }
 
 void BM_SparseExpBatch(benchmark::State& state) {

@@ -1,17 +1,17 @@
 /// \file sharded_betti.cpp
 /// \brief CLI driver for the pluggable engines: a random flag complex →
 /// sparse Δ_k → matrix-free QPE on the simulator selected by name, with the
-/// shard count and noise model plumbed from the command line through
-/// EstimatorOptions.
+/// statevector engine's shard (sweep chunk) count and the noise model
+/// plumbed from the command line through EstimatorOptions.
 ///
 /// Build & run:
-///   ./build/examples/example_sharded_betti --simulator sharded-statevector
-///       --shards 4 --vertices 8 --verify
+///   ./build/examples/example_sharded_betti --shards 4 --vertices 8 --verify
 ///   ./build/examples/example_sharded_betti --simulator density-matrix
 ///       --noise 0.02 --verify     # exact channels vs trajectory ensemble
 ///
-/// Flags: --simulator <name>  engine (default sharded-statevector)
-///        --shards <n>        slab/worker count (0 = hardware concurrency)
+/// Flags: --simulator <name>  engine (default statevector)
+///        --shards <n>        statevector sweep chunks on the shared pool
+///                            (default 4; 0 or 1 = serial sweeps)
 ///        --vertices <n>      random flag-complex size (default 8)
 ///        --dimension <k>     homology dimension (default 1)
 ///        --precision <t>     QPE precision qubits (default 4)
@@ -24,7 +24,7 @@
 ///                            the peephole optimizer's, and a telemetry
 ///                            snapshot (spans, counters, per-op-kind time)
 ///                            for the very circuit the estimate executed
-///        --verify            statevector engines: run the dense engine and
+///        --verify            statevector: rerun with serial sweeps and
 ///                            demand bit-identity; density-matrix: check a
 ///                            run_noisy_trajectory ensemble converges to the
 ///                            exact-channel marginal of the same circuit
@@ -115,7 +115,7 @@ int main(int argc, char** argv) {
   const int k = static_cast<int>(args.get_int("dimension", 1));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 29));
   const std::string simulator_name =
-      args.get_string("simulator", "sharded-statevector");
+      args.get_string("simulator", "statevector");
 
   EstimatorOptions options;
   options.backend = EstimatorBackend::kCircuitSparse;
@@ -125,9 +125,14 @@ int main(int argc, char** argv) {
   options.seed = seed;
   // The parser rejects unknown names with the list of valid ones — no
   // ad-hoc string matching in driver code.
-  options.simulator = simulator_kind_from_name(simulator_name);
+  try {
+    options.simulator = simulator_kind_from_name(simulator_name);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "%s\n", error.what());
+    return 1;
+  }
   options.simulator_shards =
-      static_cast<std::size_t>(args.get_int("shards", 0));
+      static_cast<std::size_t>(args.get_int("shards", 4));
   const double noise = args.get_double("noise", 0.0);
   options.noise = NoiseModel{noise, noise};
 
@@ -203,14 +208,14 @@ int main(int argc, char** argv) {
       if (!verify_trajectory_convergence(circuit, options, trajectories))
         return 1;
     } else {
-      EstimatorOptions dense_options = options;
-      dense_options.simulator = SimulatorKind::kStatevector;
+      EstimatorOptions serial_options = options;
+      serial_options.simulator_shards = 1;
       const BettiEstimate reference =
-          estimate_betti_from_sparse_laplacian(laplacian, dense_options);
+          estimate_betti_from_sparse_laplacian(laplacian, serial_options);
       const bool identical =
           estimate.zero_counts == reference.zero_counts &&
           estimate.estimated_betti == reference.estimated_betti;
-      std::printf("dense-engine check: zero counts %llu vs %llu -> %s\n",
+      std::printf("serial-sweep check: zero counts %llu vs %llu -> %s\n",
                   static_cast<unsigned long long>(estimate.zero_counts),
                   static_cast<unsigned long long>(reference.zero_counts),
                   identical ? "bit-identical" : "MISMATCH");

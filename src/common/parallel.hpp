@@ -3,7 +3,7 @@
 ///
 /// One process-wide thread pool with a blocking parallel_for and parallel
 /// reductions.  It is the only parallel mechanism in the library: the
-/// sharded engine's slab gates, the state-vector reductions, the Chebyshev
+/// state vector's chunked gate sweeps and reductions, the Chebyshev
 /// operator's tiles and row splits, and task-level sweeps (e.g. one random
 /// complex per worker in the Fig. 3 sweep) all run on it.
 #pragma once
@@ -40,13 +40,13 @@ class ThreadPool {
   /// Blocks until every submitted task has completed.
   void wait_idle();
 
-  /// Slab barrier: runs body(i) for every i in [0, count) across this pool
-  /// and blocks until all invocations have returned.  This is the step
-  /// primitive of the sharded state-vector engine — each gate dispatches one
-  /// task per amplitude slab and must not start the next gate before every
-  /// slab has finished.  The first exception thrown by any task is rethrown
-  /// here after the barrier.  Called from inside any pool worker it degrades
-  /// to a serial loop (same nesting guard as parallel_for).
+  /// Barrier step: runs body(i) for every i in [0, count) across this pool
+  /// and blocks until all invocations have returned.  The state vector's
+  /// chunked sweeps dispatch one task per chunk through it, so a gate never
+  /// starts before the previous one has finished everywhere.  The first
+  /// exception thrown by any task is rethrown here after the barrier.
+  /// Called from inside any pool worker it degrades to a serial loop (same
+  /// nesting guard as parallel_for).
   void run_batch(std::size_t count, const std::function<void(std::size_t)>& body);
 
   /// Process-wide shared pool (lazily constructed, never torn down before
@@ -68,10 +68,9 @@ class ThreadPool {
 /// Fair-share split of the shared pool among \p active_requests concurrent
 /// consumers: how many workers one request should claim so no single huge
 /// register starves the rest.  Never below 1, never above the pool size.
-/// The serving layer clamps each request's simulator shard count with this —
-/// safe to apply at any moment because shard count trades locality for
-/// parallelism, never results (the sharded engine is bit-identical for
-/// every count).
+/// The serving layer clamps each request's simulator shard count (the state
+/// vector's sweep chunks) with this — safe to apply at any moment because
+/// the chunk count never changes results.
 std::size_t fair_thread_share(std::size_t active_requests);
 
 /// Runs body(i) for i in [begin, end) across the shared pool, blocking until
@@ -98,27 +97,6 @@ double parallel_reduce_sum(std::size_t begin, std::size_t end,
                            const std::function<double(std::size_t)>& body,
                            std::size_t min_parallel_size = 1024);
 
-/// Contiguous-chunk split of an ordered reduction: how many chunks and how
-/// wide.  A fixed function of the range length, the serial threshold and
-/// the shared-pool size — every ordered reduction that must merge partial
-/// sums identically (parallel_reduce_ordered here, the slab-run reduction
-/// of the sharded state vector) derives its split from this one helper, so
-/// the chunking can never drift between them.
-struct OrderedReductionPlan {
-  std::size_t chunks = 1;
-  std::size_t span = 0;  ///< chunk c covers [c·span, min(n, (c+1)·span))
-};
-
-inline OrderedReductionPlan ordered_reduction_plan(
-    std::size_t n, std::size_t min_parallel_size) {
-  OrderedReductionPlan plan;
-  plan.chunks = n < min_parallel_size
-                    ? 1
-                    : std::min(ThreadPool::shared().size(), n);
-  plan.span = plan.chunks == 0 ? 0 : (n + plan.chunks - 1) / plan.chunks;
-  return plan;
-}
-
 /// Deterministic parallel reduction into \p result: [begin, end) is split
 /// into a fixed number of contiguous chunks (at most the pool size),
 /// `body(i, partial)` accumulates each chunk into its own partial
@@ -134,18 +112,19 @@ void parallel_reduce_ordered(std::size_t begin, std::size_t end,
                              std::size_t min_parallel_size = 1024) {
   if (begin >= end) return;
   const std::size_t n = end - begin;
-  const OrderedReductionPlan plan =
-      ordered_reduction_plan(n, min_parallel_size);
-  if (plan.chunks <= 1) {
+  const std::size_t chunks =
+      n < min_parallel_size ? 1 : std::min(ThreadPool::shared().size(), n);
+  if (chunks <= 1) {
     for (std::size_t i = begin; i < end; ++i) body(i, result);
     return;
   }
-  std::vector<Partial> partials(plan.chunks, identity);
+  const std::size_t span = (n + chunks - 1) / chunks;
+  std::vector<Partial> partials(chunks, identity);
   parallel_for(
-      0, plan.chunks,
+      0, chunks,
       [&](std::size_t c) {
-        const std::size_t lo = begin + c * plan.span;
-        const std::size_t hi = std::min(end, lo + plan.span);
+        const std::size_t lo = begin + c * span;
+        const std::size_t hi = std::min(end, lo + span);
         for (std::size_t i = lo; i < hi; ++i) body(i, partials[c]);
       },
       /*min_parallel_size=*/1);

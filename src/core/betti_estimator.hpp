@@ -74,10 +74,11 @@ struct EstimatorOptions {
   /// reference run_noisy_trajectory converges to — and compose with the
   /// matrix-free kCircuitSparse oracle (conjugated on the column register).
   SimulatorKind simulator = SimulatorKind::kStatevector;
-  /// kShardedStatevector only: amplitude-slab/worker count (0 = one per
-  /// hardware thread).  Any count ≥ 1 is valid and every count produces
-  /// bit-identical estimates — the knob trades memory locality for
-  /// parallelism, never results.
+  /// kStatevector only: how many contiguous chunks each gate sweep splits
+  /// into on the shared pool.  0 and 1 run the sweeps serially on the
+  /// calling thread; every count produces bit-identical estimates — the
+  /// knob trades pool handoffs for parallelism, never results.  Overridable
+  /// process-wide with QTDA_SHARDS.
   std::size_t simulator_shards = 0;
   /// Amplitude scalar of the simulation engine.  kFloat64 is the reference;
   /// kFloat32 halves statevector memory and bandwidth at ~1e-7 relative

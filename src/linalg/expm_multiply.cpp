@@ -603,6 +603,13 @@ ComponentCsr::ComponentCsr(const SparseMatrix& a) {
   begin.shrink_to_fit();  // reserved for one component per row
 }
 
+std::size_t ComponentCsr::memory_bytes() const {
+  return sizeof(ComponentCsr) +
+         (members.size() + begin.size() + offsets.size() + cols.size()) *
+             sizeof(std::size_t) +
+         values.size() * sizeof(double);
+}
+
 SparseExpOperator::SparseExpOperator(const SparseMatrix& a, double theta,
                                      double lambda_min, double lambda_max,
                                      const ExpmOptions& options)
@@ -623,6 +630,16 @@ SparseExpOperator::SparseExpOperator(std::shared_ptr<const ComponentCsr> a,
   zero_outputs_ = zero_slice_outputs(coefficients_->data(),
                                      coefficients_->size(), center_,
                                      1.0 / half_width_);
+}
+
+std::size_t SparseExpOperator::memory_bytes(
+    std::unordered_set<const void*>& counted) const {
+  std::size_t bytes = sizeof(*this) + a_->values.size() * sizeof(float) +
+                      coefficients_->size() * sizeof(std::complex<float>);
+  if (counted.insert(a_.get()).second) bytes += a_->memory_bytes();
+  if (counted.insert(coefficients_.get()).second)
+    bytes += coefficients_->size() * sizeof(std::complex<double>);
+  return bytes;
 }
 
 void SparseExpOperator::ensure_f32() const {

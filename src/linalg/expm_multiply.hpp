@@ -91,6 +91,8 @@ struct ComponentCsr {
 
   std::size_t dimension() const { return members.size(); }
   std::size_t components() const { return begin.size() - 1; }
+  /// Bytes of the layout and its entries.
+  std::size_t memory_bytes() const;
 
   std::vector<std::size_t> members;  ///< original row of regrouped row i
   std::vector<std::size_t> begin;    ///< component c: rows [begin[c], begin[c+1])
@@ -120,6 +122,11 @@ class SparseExpOperator final : public LinearOperator {
 
   std::size_t dimension() const override { return a_->dimension(); }
   std::string name() const override { return "chebyshev-exp"; }
+  /// Own bytes plus, once per \p counted, the shared CSR and coefficient
+  /// vector.  The float mirrors count as if already built, so the charge
+  /// does not change when a float engine first runs the operator.
+  std::size_t memory_bytes(
+      std::unordered_set<const void*>& counted) const override;
 
   void apply(const std::complex<double>* x,
              std::complex<double>* y) const override;

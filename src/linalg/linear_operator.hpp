@@ -13,6 +13,7 @@
 #include <complex>
 #include <cstddef>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "linalg/dense_matrix.hpp"
@@ -29,6 +30,16 @@ class LinearOperator {
 
   /// Short diagnostic name ("dense", "chebyshev-exp", …).
   virtual std::string name() const = 0;
+
+  /// Bytes this operator holds, for byte-budgeted caches.  Storage that
+  /// several operators share is charged only by the one that first enters
+  /// its address into \p counted, so the t powers of a QPE ladder charge
+  /// their common matrix once.  The default holds nothing.
+  virtual std::size_t memory_bytes(
+      std::unordered_set<const void*>& counted) const {
+    (void)counted;
+    return 0;
+  }
 
   /// y = Op·x.  \p x and \p y are length-dimension() buffers that do not
   /// alias.  Must be safe to call concurrently from several threads.
@@ -76,6 +87,11 @@ class DenseOperator final : public LinearOperator {
 
   std::size_t dimension() const override { return matrix_.rows(); }
   std::string name() const override { return "dense"; }
+  std::size_t memory_bytes(
+      std::unordered_set<const void*>& /*counted*/) const override {
+    return sizeof(*this) +
+           matrix_.rows() * matrix_.cols() * sizeof(std::complex<double>);
+  }
 
   void apply(const std::complex<double>* x,
              std::complex<double>* y) const override {

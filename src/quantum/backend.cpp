@@ -5,7 +5,6 @@
 
 #include "common/cpu_features.hpp"
 #include "common/error.hpp"
-#include "common/parallel.hpp"
 #include "quantum/executor.hpp"
 #include "quantum/noise.hpp"
 
@@ -15,7 +14,6 @@ namespace {
 
 constexpr SimulatorKind kAllSimulatorKinds[] = {
     SimulatorKind::kStatevector,
-    SimulatorKind::kShardedStatevector,
     SimulatorKind::kDensityMatrix,
 };
 
@@ -69,7 +67,6 @@ void apply_wide_diagonal(SimulatorBackend& backend, const CompiledOp& op) {
 std::string simulator_kind_name(SimulatorKind kind) {
   switch (kind) {
     case SimulatorKind::kStatevector: return "statevector";
-    case SimulatorKind::kShardedStatevector: return "sharded-statevector";
     case SimulatorKind::kDensityMatrix: return "density-matrix";
   }
   return "?";
@@ -101,8 +98,8 @@ void SimulatorBackend::apply_plan(const ExecutionPlan& plan) {
   // Generic path: the fused blocks and materialized matrices still apply —
   // each op is one ordinary IR gate — only the mask/offset precomputation
   // is engine-specific and recomputed here.  Diagonal tables densify on
-  // demand, wide ones through the controlled-sub-diagonal split (the three
-  // in-tree engines all override with native diagonal execution; this
+  // demand, wide ones through the controlled-sub-diagonal split (both
+  // in-tree engines override with native diagonal execution; this
   // keeps unknown future engines correct for every compiled plan).
   for_each_plan_op_accounted(plan, [&](const CompiledOp& op) {
     if (op.kind != CompiledOp::Kind::kDiagonal) {
@@ -150,8 +147,9 @@ void SimulatorBackend::apply_circuit_with_noise(const Circuit& circuit,
 }
 
 template <typename Real>
-BasicStatevectorBackend<Real>::BasicStatevectorBackend(std::size_t num_qubits)
-    : state_(num_qubits) {}
+BasicStatevectorBackend<Real>::BasicStatevectorBackend(std::size_t num_qubits,
+                                                       std::size_t chunks)
+    : state_(num_qubits, chunks) {}
 
 template <typename Real>
 void BasicStatevectorBackend<Real>::prepare_basis_state(std::uint64_t index) {
@@ -222,80 +220,6 @@ std::vector<double> BasicStatevectorBackend<Real>::marginal_probabilities(
 
 template <typename Real>
 std::vector<std::uint64_t> BasicStatevectorBackend<Real>::sample(
-    const std::vector<std::size_t>& qubits, std::size_t shots,
-    Rng& rng) const {
-  return state_.sample_counts(qubits, shots, rng);
-}
-
-template <typename Real>
-BasicShardedStatevectorBackend<Real>::BasicShardedStatevectorBackend(
-    std::size_t num_qubits, std::size_t num_shards)
-    : state_(num_qubits, num_shards) {}
-
-template <typename Real>
-void BasicShardedStatevectorBackend<Real>::prepare_basis_state(
-    std::uint64_t index) {
-  state_.set_basis_state(index);
-}
-
-template <typename Real>
-void BasicShardedStatevectorBackend<Real>::apply_gate(const Gate& gate) {
-  state_.apply_gate(gate);
-}
-
-template <typename Real>
-void BasicShardedStatevectorBackend<Real>::apply_circuit(
-    const Circuit& circuit) {
-  state_.apply_circuit(circuit);
-}
-
-template <typename Real>
-void BasicShardedStatevectorBackend<Real>::apply_global_phase(double phi) {
-  state_.apply_global_phase(phi);
-}
-
-template <typename Real>
-void BasicShardedStatevectorBackend<Real>::apply_plan(
-    const ExecutionPlan& plan) {
-  QTDA_REQUIRE(plan.num_qubits() == num_qubits(),
-               "plan width " << plan.num_qubits()
-                             << " does not match backend width "
-                             << num_qubits());
-  for_each_plan_op_accounted(plan, [&](const CompiledOp& op) {
-    if (op.kind == CompiledOp::Kind::kDiagonal) {
-      // Native slab-local diagonal — bit-identical to the dense engine's
-      // diagonal kernel, no dense 2^m×2^m fallback.  The table is the
-      // plan's cached width-matched diagonal.
-      state_.apply_diagonal(compiled_diagonal<Real>(op), op.diag_extract);
-    } else {
-      state_.apply_gate(op.gate);
-    }
-  });
-  if (plan.global_phase() != 0.0) state_.apply_global_phase(plan.global_phase());
-}
-
-template <typename Real>
-void BasicShardedStatevectorBackend<Real>::apply_operator(
-    const LinearOperator& op, const std::vector<std::size_t>& targets,
-    const std::vector<std::size_t>& controls) {
-  state_.apply_operator(op, targets, controls);
-}
-
-template <typename Real>
-void BasicShardedStatevectorBackend<Real>::apply_depolarizing(
-    std::size_t qubit, double probability, Rng& rng) {
-  maybe_apply_depolarizing(state_, qubit, probability, rng);
-}
-
-template <typename Real>
-std::vector<double>
-BasicShardedStatevectorBackend<Real>::marginal_probabilities(
-    const std::vector<std::size_t>& qubits) const {
-  return state_.marginal_probabilities(qubits);
-}
-
-template <typename Real>
-std::vector<std::uint64_t> BasicShardedStatevectorBackend<Real>::sample(
     const std::vector<std::size_t>& qubits, std::size_t shots,
     Rng& rng) const {
   return state_.sample_counts(qubits, shots, rng);
@@ -377,8 +301,6 @@ std::vector<std::uint64_t> BasicDensityMatrixBackend<Real>::sample(
 
 template class BasicStatevectorBackend<double>;
 template class BasicStatevectorBackend<float>;
-template class BasicShardedStatevectorBackend<double>;
-template class BasicShardedStatevectorBackend<float>;
 template class BasicDensityMatrixBackend<double>;
 template class BasicDensityMatrixBackend<float>;
 
@@ -390,10 +312,8 @@ std::unique_ptr<SimulatorBackend> make_simulator_at(SimulatorKind kind,
                                                     std::size_t shards) {
   switch (kind) {
     case SimulatorKind::kStatevector:
-      return std::make_unique<BasicStatevectorBackend<Real>>(num_qubits);
-    case SimulatorKind::kShardedStatevector:
-      return std::make_unique<BasicShardedStatevectorBackend<Real>>(
-          num_qubits, shards == 0 ? hardware_concurrency() : shards);
+      return std::make_unique<BasicStatevectorBackend<Real>>(num_qubits,
+                                                             shards);
     case SimulatorKind::kDensityMatrix:
       return std::make_unique<BasicDensityMatrixBackend<Real>>(num_qubits);
   }
@@ -406,10 +326,10 @@ std::unique_ptr<SimulatorBackend> make_simulator_at(SimulatorKind kind,
 SimulatorConfig resolve_simulator(SimulatorKind kind, std::size_t shards,
                                   Precision precision) {
   // CI / debugging hook: force every factory-built engine onto one kind,
-  // shard count and precision without touching call sites.  Safe for the
-  // sharded engine (bit-identical to the dense one); the density-matrix
-  // engine additionally needs make_simulator's width guard because of its
-  // 4^n storage cap.
+  // chunk count and precision without touching call sites.  Safe for the
+  // chunk count (it never changes results); the density-matrix engine
+  // additionally needs make_simulator's width guard because of its 4^n
+  // storage cap.
   SimulatorConfig config{kind, shards, precision, false};
   if (const char* forced = std::getenv("QTDA_SIMULATOR");
       forced != nullptr && *forced != '\0') {

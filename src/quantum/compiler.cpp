@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <sstream>
+#include <unordered_set>
 
 #include "common/cpu_features.hpp"
 #include "common/error.hpp"
@@ -436,7 +437,12 @@ std::string compiler_options_cache_key(const CompilerOptions& options) {
 
 std::size_t ExecutionPlan::memory_bytes() const {
   std::size_t bytes = sizeof(ExecutionPlan);
+  // Operators (and what they share, such as one ladder's CSR) are charged
+  // once each, however many ops hold them.
+  std::unordered_set<const void*> counted;
   for (const CompiledOp& op : ops_) {
+    if (op.gate.op != nullptr && counted.insert(op.gate.op.get()).second)
+      bytes += op.gate.op->memory_bytes(counted);
     bytes += sizeof(CompiledOp);
     const std::size_t matrix_entries =
         op.gate.matrix.rows() * op.gate.matrix.cols();

@@ -235,10 +235,13 @@ class ExecutionPlan {
   bool preserves_noise_slots() const { return noise_slots_; }
 
   /// Approximate resident size of the plan: compiled matrices, diagonal
-  /// tables and offset/base enumerations.  The byte-budget accounting unit
-  /// of the serving layer's plan cache.  It does not change when the plan
-  /// executes: the lazily-built complex64 mirrors are counted as if
-  /// materialized, and execution scratch belongs to the engine.
+  /// tables, offset/base enumerations, and every distinct operator its
+  /// operator gates hold (LinearOperator::memory_bytes), with storage the
+  /// operators share — the CSR of a ladder's t powers — counted once.  The
+  /// byte-budget accounting unit of the serving layer's plan cache.  It
+  /// does not change when the plan executes: the lazily-built complex64
+  /// mirrors are counted as if materialized, and execution scratch belongs
+  /// to the engine.
   std::size_t memory_bytes() const;
 
  private:

@@ -32,9 +32,9 @@ struct NoiseModel {
 
 /// Applies one stochastic depolarizing event to \p qubit with probability
 /// \p probability (X, Y or Z uniformly when it fires).  Templated over the
-/// engine (any state exposing apply_single_qubit — Statevector and
-/// ShardedStatevector) so every backend consumes the RNG identically: one
-/// Bernoulli draw, then one uniform index when the error fires.
+/// engine (any state exposing apply_single_qubit, at either precision) so
+/// every backend consumes the RNG identically: one Bernoulli draw, then one
+/// uniform index when the error fires.
 template <typename State>
 void maybe_apply_depolarizing(State& state, std::size_t qubit,
                               double probability, Rng& rng) {

@@ -1,7 +1,7 @@
 /// \file precision.hpp
 /// \brief Amplitude precision selection for the simulation spine.
 ///
-/// Every engine (Statevector, ShardedStatevector, DensityMatrix) is a
+/// Every engine (Statevector, DensityMatrix) is a
 /// template over the real scalar of its amplitudes; this enum is the
 /// runtime handle the factory and the estimator options use to pick an
 /// instantiation.  complex128 (double) is the default and the reference;

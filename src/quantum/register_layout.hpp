@@ -2,12 +2,12 @@
 /// \brief Shared target/control mask building and block enumeration for the
 /// simulation engines.
 ///
-/// The dense and sharded state-vector engines promise *bit-identical*
-/// results, which starts with decomposing the register identically: the
-/// same target masks (MSB-first wire convention of types.hpp), the same
+/// The per-gate entry points and the compiled plans must decompose the
+/// register identically for their results to agree bit for bit: the same
+/// target masks (MSB-first wire convention of types.hpp), the same
 /// local-offset tables, and the same block-column base enumeration, in the
-/// same order.  Both engines call these helpers so the decomposition exists
-/// exactly once.
+/// same order.  The state-vector engine and the compiler both call these
+/// helpers so the decomposition exists exactly once.
 #pragma once
 
 #include <cstdint>
@@ -132,9 +132,9 @@ inline DiagonalExtract build_diagonal_extract(
 
 /// Applies a fused diagonal to the amplitude run amp[0..count) holding the
 /// global indices [first_index, first_index + count).  The run count is a
-/// template parameter so the extraction fully unrolls — shared by the
-/// dense and sharded engines, whose per-amplitude arithmetic must match
-/// bit for bit.  Templated over the complex amplitude type so the float32
+/// template parameter so the extraction fully unrolls — the scalar form of
+/// simd::diagonal_pass, whose vector paths must match it bit for bit.
+/// Templated over the complex amplitude type so the float32
 /// engines reuse the identical kernel shape.
 template <std::size_t R, typename C>
 inline void apply_diagonal_run_fixed(C* amp, std::uint64_t first_index,

@@ -14,11 +14,13 @@ namespace qtda {
 
 namespace {
 
-/// Below this state size the measurement reductions stay serial (the gate
-/// kernels always are; the sharded engine is the parallel one).  Shared with
-/// the sharded engine (statevector.hpp) so both backends pick identical
-/// ordered-reduction chunkings — the root of their bit-identical marginals.
-constexpr std::uint64_t kParallelThreshold = kStatevectorParallelThreshold;
+/// Below this state size the measurement reductions stay serial.
+constexpr std::uint64_t kParallelThreshold = std::uint64_t{1} << 17;
+
+/// Below this state size a chunked sweep runs its chunks in order on the
+/// calling thread: the pool handoff would cost more than the gate.  The
+/// chunk split is the same either way.
+constexpr std::uint64_t kSerialSweepThreshold = std::uint64_t{1} << 9;
 
 /// Contiguous runs shorter than this stay on the scalar pair/four-point
 /// sweeps: a sub-vector-width run per dispatch call costs more than it
@@ -63,15 +65,65 @@ inline void operator_apply_batch(const LinearOperator& op,
   op.apply_batch_f32(in, out, count);
 }
 
+/// The index of anchor \p a: the a-th basis index, in ascending order,
+/// whose \p zero_bits are clear and \p one_bits set.
+std::uint64_t anchor_index(std::uint64_t a, std::uint64_t zero_bits,
+                           std::uint64_t one_bits) {
+  for (std::uint64_t rest = zero_bits | one_bits; rest != 0;
+       rest &= rest - 1) {
+    const std::uint64_t below = (rest & (~rest + 1)) - 1;
+    a = ((a & ~below) << 1) | (a & below);
+  }
+  return a | one_bits;
+}
+
 }  // namespace
 
 template <typename Real>
-BasicStatevector<Real>::BasicStatevector(std::size_t num_qubits)
-    : num_qubits_(num_qubits),
-      amplitudes_(std::uint64_t{1} << num_qubits, C{}) {
+BasicStatevector<Real>::BasicStatevector(std::size_t num_qubits,
+                                         std::size_t chunks)
+    : num_qubits_(num_qubits), chunks_(std::max<std::size_t>(1, chunks)) {
   QTDA_REQUIRE(num_qubits > 0 && num_qubits <= 30,
                "statevector width " << num_qubits << " unsupported");
+  amplitudes_.assign(std::uint64_t{1} << num_qubits, C{});
   amplitudes_[0] = C{Real{1}, Real{0}};
+}
+
+template <typename Real>
+std::size_t BasicStatevector<Real>::active_chunks(
+    std::uint64_t fixed_bits) const {
+  const std::uint64_t anchors =
+      dimension() >> __builtin_popcountll(fixed_bits);
+  return static_cast<std::size_t>(
+      std::min<std::uint64_t>(chunks_, anchors));
+}
+
+template <typename Real>
+template <typename Sweep>
+void BasicStatevector<Real>::sweep_chunks(std::uint64_t zero_bits,
+                                          std::uint64_t one_bits,
+                                          const Sweep& sweep) {
+  const std::uint64_t dim = dimension();
+  const std::size_t chunks = active_chunks(zero_bits | one_bits);
+  if (chunks <= 1) {
+    sweep(0, dim, 0);
+    return;
+  }
+  // Chunk c starts at its first anchor, so every pair or block belongs to
+  // the chunk holding its anchor and no two chunks write the same amplitude.
+  const std::uint64_t anchors =
+      dim >> __builtin_popcountll(zero_bits | one_bits);
+  const auto bound = [&](std::size_t c) {
+    return c == chunks
+               ? dim
+               : anchor_index(anchors * c / chunks, zero_bits, one_bits);
+  };
+  const auto chunk = [&](std::size_t c) { sweep(bound(c), bound(c + 1), c); };
+  if (dim < kSerialSweepThreshold) {
+    for (std::size_t c = 0; c < chunks; ++c) chunk(c);
+  } else {
+    ThreadPool::shared().run_batch(chunks, chunk);
+  }
 }
 
 template <typename Real>
@@ -138,38 +190,26 @@ template <typename Real>
 void BasicStatevector<Real>::single_qubit_kernel(C u00, C u01, C u10, C u11,
                                                  std::uint64_t mask,
                                                  std::uint64_t cmask) {
-  const std::uint64_t dim = dimension();
   C* amp = amplitudes_.data();
-
   // The indices below the lowest target or control bit form contiguous
   // runs that share their target and control bits, so every run whose
   // controls are set is one pair sweep — the top hot loop, dispatched to
-  // the vector kernels (bitwise identical to the scalar expressions below;
-  // see simd_kernels.hpp).
-  const SimdLevel level = active_simd_level();
+  // the vector kernels when the runs are long enough (bitwise identical to
+  // the scalar expressions; see simd_kernels.hpp).
   const std::uint64_t bits = mask | cmask;
   const std::uint64_t run = bits & (~bits + 1);
-  if (level != SimdLevel::kScalar && run >= kMinSimdRun) {
-    const C u[4] = {u00, u01, u10, u11};
-    for (std::uint64_t i0 = 0; i0 < dim; i0 += run) {
-      if ((i0 & mask) == 0 && (i0 & cmask) == cmask)
-        simd::pair_sweep(level, amp + i0, amp + (i0 | mask), run, u);
+  const SimdLevel level =
+      run >= kMinSimdRun ? active_simd_level() : SimdLevel::kScalar;
+  const C u[4] = {u00, u01, u10, u11};
+  sweep_chunks(mask, cmask, [&](std::uint64_t lo, std::uint64_t hi,
+                                std::size_t) {
+    for (std::uint64_t i0 = lo & ~(run - 1); i0 < hi; i0 += run) {
+      if ((i0 & mask) != 0 || (i0 & cmask) != cmask) continue;
+      const std::uint64_t first = std::max(i0, lo);
+      simd::pair_sweep(level, amp + first, amp + (first | mask),
+                       std::min(i0 + run, hi) - first, u);
     }
-    return;
-  }
-
-  const auto body = [&](std::uint64_t i0) {
-    if ((i0 & cmask) != cmask) return;
-    const std::uint64_t i1 = i0 | mask;
-    const C a0 = amp[i0];
-    const C a1 = amp[i1];
-    amp[i0] = u00 * a0 + u01 * a1;
-    amp[i1] = u10 * a0 + u11 * a1;
-  };
-
-  for (std::uint64_t block = 0; block < dim; block += 2 * mask) {
-    for (std::uint64_t i = block; i < block + mask; ++i) body(i);
-  }
+  });
 }
 
 template <typename Real>
@@ -196,42 +236,23 @@ void BasicStatevector<Real>::block_kernel(
     const C* u, std::uint64_t tmask, std::uint64_t cmask,
     const std::vector<std::uint64_t>& offset) {
   const std::uint64_t block = offset.size();
-  const std::uint64_t dim = dimension();
   C* amp = amplitudes_.data();
-
-  // Vector path: gather, row-vectorized matvec into the out buffer, scatter.
-  // Per-row accumulation order matches the scalar row-dot exactly (see
-  // simd_kernels.hpp), so mixing paths cannot change results.
+  block_scratch_.resize(2 * block * active_chunks(tmask | cmask));
+  // Gather, row-wise matvec into the out rows, scatter.  Per-row
+  // accumulation order matches the scalar row-dot exactly at every SIMD
+  // level (see simd_kernels.hpp), so mixing paths cannot change results.
   const SimdLevel level = active_simd_level();
-  if (level != SimdLevel::kScalar) {
-    block_in_.resize(block);
-    block_out_.resize(block);
-    C* in = block_in_.data();
-    C* out = block_out_.data();
-    for (std::uint64_t i = 0; i < dim; ++i) {
-      if ((i & tmask) == 0 && (i & cmask) == cmask) {
-        for (std::uint64_t l = 0; l < block; ++l) in[l] = amp[i | offset[l]];
-        simd::block_matvec(level, u, in, out, block);
-        for (std::uint64_t r = 0; r < block; ++r) amp[i | offset[r]] = out[r];
-      }
+  sweep_chunks(tmask, cmask, [&](std::uint64_t lo, std::uint64_t hi,
+                                 std::size_t chunk) {
+    C* in = block_scratch_.data() + 2 * block * chunk;
+    C* out = in + block;
+    for (std::uint64_t i = lo; i < hi; ++i) {
+      if ((i & tmask) != 0 || (i & cmask) != cmask) continue;
+      for (std::uint64_t l = 0; l < block; ++l) in[l] = amp[i | offset[l]];
+      simd::block_matvec(level, u, in, out, block);
+      for (std::uint64_t r = 0; r < block; ++r) amp[i | offset[r]] = out[r];
     }
-    return;
-  }
-
-  const auto body = [&](std::uint64_t base, std::vector<C>& buf) {
-    for (std::uint64_t l = 0; l < block; ++l) buf[l] = amp[base | offset[l]];
-    for (std::uint64_t r = 0; r < block; ++r) {
-      C acc{};
-      const C* urow = u + r * block;
-      for (std::uint64_t c = 0; c < block; ++c) acc += urow[c] * buf[c];
-      amp[base | offset[r]] = acc;
-    }
-  };
-
-  block_in_.resize(block);
-  for (std::uint64_t i = 0; i < dim; ++i) {
-    if ((i & tmask) == 0 && (i & cmask) == cmask) body(i, block_in_);
-  }
+  });
 }
 
 template <typename Real>
@@ -311,61 +332,30 @@ void BasicStatevector<Real>::two_qubit_kernel(const C* u,
   // generic path bit for bit.
   const std::uint64_t m_small = std::min(mask_high, mask_low);
   const std::uint64_t m_big = std::max(mask_high, mask_low);
-  const std::uint64_t dim = dimension();
   C* amp = amplitudes_.data();
 
-  // Vector path: the innermost run [b, b+m_small) gives four contiguous
-  // streams at constant offsets — the four-point sweep (bitwise identical
-  // to the scalar accumulation chains below).
-  const SimdLevel level = active_simd_level();
-  if (level != SimdLevel::kScalar && m_small >= kMinSimdRun) {
-    for (std::uint64_t a = 0; a < dim; a += m_big << 1) {
-      for (std::uint64_t b = a; b < a + m_big; b += m_small << 1) {
-        simd::four_point_sweep(level, amp + b, amp + (b | mask_low),
-                               amp + (b | mask_high),
-                               amp + (b | mask_high | mask_low), m_small, u);
+  // The innermost run [b, b+m_small) gives four contiguous streams at
+  // constant offsets — the four-point sweep, vectorized when the runs are
+  // long enough (bitwise identical to the scalar accumulation chains).
+  // Nested strided loops keep that run contiguous, which is what lets the
+  // compiler pipeline the complex arithmetic — a flat compressed-index loop
+  // ran ~2× slower.
+  const SimdLevel level =
+      m_small >= kMinSimdRun ? active_simd_level() : SimdLevel::kScalar;
+  sweep_chunks(m_big | m_small, 0, [&](std::uint64_t lo, std::uint64_t hi,
+                                       std::size_t) {
+    for (std::uint64_t a = lo & ~(2 * m_big - 1); a < hi; a += 2 * m_big) {
+      const std::uint64_t end = std::min(a + m_big, hi);
+      for (std::uint64_t b = std::max(a, lo & ~(2 * m_small - 1)); b < end;
+           b += 2 * m_small) {
+        const std::uint64_t i = std::max(b, lo);
+        simd::four_point_sweep(level, amp + i, amp + (i | mask_low),
+                               amp + (i | mask_high),
+                               amp + (i | mask_high | mask_low),
+                               std::min(b + m_small, hi) - i, u);
       }
     }
-    return;
-  }
-
-  const C* u0 = u;
-  const C* u1 = u + 4;
-  const C* u2 = u + 8;
-  const C* u3 = u + 12;
-
-  const auto body = [&](std::uint64_t i) {
-    const std::uint64_t i0 = i;
-    const std::uint64_t i1 = i | mask_low;
-    const std::uint64_t i2 = i | mask_high;
-    const std::uint64_t i3 = i | mask_high | mask_low;
-    const C a0 = amp[i0];
-    const C a1 = amp[i1];
-    const C a2 = amp[i2];
-    const C a3 = amp[i3];
-    // Accumulation order identical to block_kernel's row loop.
-    C acc0{};
-    acc0 += u0[0] * a0; acc0 += u0[1] * a1; acc0 += u0[2] * a2; acc0 += u0[3] * a3;
-    C acc1{};
-    acc1 += u1[0] * a0; acc1 += u1[1] * a1; acc1 += u1[2] * a2; acc1 += u1[3] * a3;
-    C acc2{};
-    acc2 += u2[0] * a0; acc2 += u2[1] * a1; acc2 += u2[2] * a2; acc2 += u2[3] * a3;
-    C acc3{};
-    acc3 += u3[0] * a0; acc3 += u3[1] * a1; acc3 += u3[2] * a2; acc3 += u3[3] * a3;
-    amp[i0] = acc0;
-    amp[i1] = acc1;
-    amp[i2] = acc2;
-    amp[i3] = acc3;
-  };
-
-  // Nested strided loops keep the innermost run contiguous (length
-  // m_small), which is what lets the compiler pipeline the complex
-  // arithmetic — a flat compressed-index loop ran ~2× slower.
-  for (std::uint64_t a = 0; a < dim; a += m_big << 1) {
-    for (std::uint64_t b = a; b < a + m_big; b += m_small << 1) {
-      for (std::uint64_t i = b; i < b + m_small; ++i) body(i);
-    }
-  }
+  });
 }
 
 template <typename Real>
@@ -373,8 +363,11 @@ void BasicStatevector<Real>::diagonal_kernel(const C* table,
                                              const DiagonalExtract& extract) {
   // One multiply per amplitude, however many gates the diagonal absorbed:
   // the big fusion win of the controlled-phase-dominated QPE networks.
-  simd::diagonal_pass(active_simd_level(), amplitudes_.data(), 0, dimension(),
-                      extract, table);
+  const SimdLevel level = active_simd_level();
+  C* amp = amplitudes_.data();
+  sweep_chunks(0, 0, [&](std::uint64_t lo, std::uint64_t hi, std::size_t) {
+    simd::diagonal_pass(level, amp + lo, lo, hi - lo, extract, table);
+  });
 }
 
 template <typename Real>
@@ -419,7 +412,10 @@ void BasicStatevector<Real>::apply_global_phase(double phi) {
   // narrows.
   const C factor{static_cast<Real>(std::cos(phi)),
                  static_cast<Real>(std::sin(phi))};
-  for (C& a : amplitudes_) a *= factor;
+  C* amp = amplitudes_.data();
+  sweep_chunks(0, 0, [&](std::uint64_t lo, std::uint64_t hi, std::size_t) {
+    for (std::uint64_t i = lo; i < hi; ++i) amp[i] *= factor;
+  });
 }
 
 template <typename Real>

@@ -1,11 +1,16 @@
 /// \file statevector.hpp
 /// \brief Dense state-vector simulator, templated over the amplitude scalar.
 ///
-/// Amplitudes are stored for all 2^n basis states under the MSB-first qubit
-/// convention of types.hpp.  Gate kernels are cache-friendly serial strided
-/// loops; measurement reductions split over the shared pool above a size
-/// threshold (the state for the paper's circuits ranges from 2^3 to 2^20
-/// amplitudes).  Slab-parallel gates are the sharded engine's job.
+/// Amplitudes are stored for all 2^n basis states, in one flat array, under
+/// the MSB-first qubit convention of types.hpp.  Gate kernels are
+/// cache-friendly strided sweeps.  With a chunk count above one, each sweep
+/// splits its *anchors* (the lower index of an amplitude pair, the base
+/// index of a block) into that many contiguous chunks and runs them on the
+/// shared pool; every pair or block belongs to exactly one chunk and the
+/// per-amplitude arithmetic is the serial sweep's, so the chunk count never
+/// changes a bit of the result.  Measurement reductions split over the
+/// shared pool above a size threshold (the state for the paper's circuits
+/// ranges from 2^3 to 2^20 amplitudes).
 ///
 /// The engine is `BasicStatevector<Real>` with `Real` ∈ {double, float}
 /// (explicitly instantiated in statevector.cpp): complex128 is the default
@@ -30,14 +35,6 @@
 #include "quantum/types.hpp"
 
 namespace qtda {
-
-/// State sizes below this run measurement reductions serially (above it,
-/// chunked over the shared pool).  One definition for both the dense and the
-/// sharded engine: the ordered-reduction chunking is a function of this
-/// threshold and the shared-pool size, and the two backends must pick the
-/// same chunking for their marginals to merge partial sums in the same
-/// order — the discipline behind their bit-identical results.
-inline constexpr std::uint64_t kStatevectorParallelThreshold = 1ULL << 17;
 
 /// Widens an amplitude to the double boundary type (identity for double —
 /// the double engine's reductions are source-identical to the historical
@@ -68,10 +65,15 @@ class BasicStatevector {
  public:
   using C = std::complex<Real>;
 
-  /// |0…0⟩ on \p num_qubits qubits.
-  explicit BasicStatevector(std::size_t num_qubits);
+  /// |0…0⟩ on \p num_qubits qubits.  \p chunks splits every gate sweep
+  /// into that many contiguous anchor ranges on the shared pool; 0 and 1
+  /// run the sweeps serially on the calling thread.  Any count gives the
+  /// same bytes.
+  explicit BasicStatevector(std::size_t num_qubits, std::size_t chunks = 1);
 
   std::size_t num_qubits() const { return num_qubits_; }
+  /// The requested sweep chunk count (at least 1).
+  std::size_t chunks() const { return chunks_; }
   std::uint64_t dimension() const { return std::uint64_t{1} << num_qubits_; }
   const std::vector<C>& amplitudes() const { return amplitudes_; }
   /// Mutable view of the 2^n amplitudes (length dimension()) for in-place
@@ -147,6 +149,16 @@ class BasicStatevector {
   Amplitude inner_product(const BasicStatevector& other) const;
 
  private:
+  /// Runs sweep(lo, hi, chunk) over index ranges that split the anchors —
+  /// the indices whose \p zero_bits are clear and \p one_bits set — into
+  /// contiguous, equal shares: one call over [0, 2^n) for a single chunk,
+  /// one shared-pool task per chunk otherwise.
+  template <typename Sweep>
+  void sweep_chunks(std::uint64_t zero_bits, std::uint64_t one_bits,
+                    const Sweep& sweep);
+  /// How many chunks sweep_chunks makes over these fixed bits.
+  std::size_t active_chunks(std::uint64_t fixed_bits) const;
+
   /// Shared kernels: the legacy per-gate entry points and the compiled-plan
   /// path both land here, so their arithmetic cannot drift (the root of the
   /// QTDA_FUSE=0 bit-identity guarantee).  Matrices arrive pre-cast to the
@@ -167,14 +179,14 @@ class BasicStatevector {
                        const std::vector<std::uint64_t>& bases);
 
   std::size_t num_qubits_;
+  std::size_t chunks_;
   std::vector<C> amplitudes_;
-  // Execution scratch, grown on first use and freed with the engine: block
-  // gather/scatter and its output rows, the operator batch buffers, and the
-  // float engine's narrowed matrix.  The engine owns it so that a plan holds
-  // no mutable buffers and an estimate's backend reuses them across every
-  // trajectory it evolves.
-  std::vector<C> block_in_;
-  std::vector<C> block_out_;
+  // Execution scratch, grown on first use and freed with the engine: one
+  // block gather buffer and output rows per chunk, the operator batch
+  // buffers, and the float engine's narrowed matrix.  The engine owns it so
+  // that a plan holds no mutable buffers and an estimate's backend reuses
+  // them across every trajectory it evolves.
+  std::vector<C> block_scratch_;
   std::vector<C> packed_in_;
   std::vector<C> packed_out_;
   std::vector<C> matrix_scratch_;

@@ -10,7 +10,7 @@
 ///
 /// Requests:
 ///   estimate id=7 eps=0.5 k=1 t=4 shots=1000 seed=42 backend=sparse
-///            mixed=purify simulator=statevector precision=float64
+///            mixed=purify simulator=statevector shards=1 precision=float64
 ///            deadline_ms=0 points=0,0;1,0;0.5,0.87
 ///   stats
 ///   metrics            (JSON telemetry payload on one line)

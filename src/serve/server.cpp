@@ -377,14 +377,12 @@ std::string BettiServer::batch_key_of(const EstimateRequest& request) {
 }
 
 std::size_t BettiServer::clamped_shards(const EstimatorOptions& options) const {
-  if (options.simulator != SimulatorKind::kShardedStatevector)
+  if (options.simulator != SimulatorKind::kStatevector ||
+      options.simulator_shards <= 1)
     return options.simulator_shards;
   const std::size_t share =
       fair_thread_share(std::max<std::size_t>(1, active_executions_.load()));
-  const std::size_t requested = options.simulator_shards == 0
-                                    ? ThreadPool::shared().size()
-                                    : options.simulator_shards;
-  return std::max<std::size_t>(1, std::min(requested, share));
+  return std::max<std::size_t>(1, std::min(options.simulator_shards, share));
 }
 
 EstimateResponse BettiServer::execute_single(const EstimateRequest& request) {

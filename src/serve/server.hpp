@@ -15,12 +15,13 @@
 ///   back to the connections (responses carry request ids; ordering across
 ///   requests is not guaranteed, by design).
 ///
-/// Fairness and shutdown: per-request shard counts are clamped by
-/// fair_thread_share over the number of concurrently executing requests, so
-/// one huge register cannot monopolize the shared pool (shard count never
-/// changes results).  Deadlines bound queue time *and* execution: a request
-/// that expires before execution starts is answered with a `deadline` error
-/// instead of occupying a worker, and an executing request whose deadline
+/// Fairness and shutdown: per-request shard counts — the state vector's
+/// sweep chunks on the shared pool — are clamped by fair_thread_share over
+/// the number of concurrently executing requests, so one huge register
+/// cannot monopolize that pool (the chunk count never changes results).
+/// Deadlines bound queue time *and* execution: a request that expires
+/// before execution starts is answered with a `deadline` error instead of
+/// occupying a worker, and an executing request whose deadline
 /// passes is cancelled at the next cooperative checkpoint (see
 /// common/cancel.hpp).  stop() is graceful: admission closes, everything
 /// already admitted executes, the completion queue drains, then threads

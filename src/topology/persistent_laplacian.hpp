@@ -28,7 +28,7 @@ namespace qtda {
 /// k-simplices the whole build stays sparse; otherwise only the Schur
 /// correction B·C⁺·Bᵀ — inherently dense through the pseudo-inverse — is
 /// formed densely, at |S_k(K)| size, with B and C extracted straight from
-/// the CSR of Δ_k^{L,up}.  This is the operator the sparse/sharded QPE path
+/// the CSR of Δ_k^{L,up}.  This is the operator the sparse QPE path
 /// consumes without ever forming a dense |S_k|×|S_k| matrix in the
 /// shared-k-simplex case.  Throws if K's k- or (k+1)-simplices are not a
 /// subset of L's; requires K to have at least one k-simplex.

@@ -25,7 +25,6 @@
 #include "quantum/compiler.hpp"
 #include "quantum/density_matrix.hpp"
 #include "quantum/noise.hpp"
-#include "quantum/sharded_statevector.hpp"
 #include "quantum/statevector.hpp"
 
 namespace qtda {
@@ -124,8 +123,8 @@ inline std::vector<BitIdentityFingerprint> bit_identity_fingerprints() {
     out.push_back(
         {"dense_plan_unfused", fingerprint_amplitudes(psi.amplitudes())});
   }
-  {  // Sharded engine (3 slabs), gate-by-gate walk.
-    ShardedStatevector psi(10, 3);
+  {  // Statevector sweeps in 3 shards, gate-by-gate walk.
+    Statevector psi(10, 3);
     psi.set_basis_state(3);
     psi.apply_circuit(c10);
     out.push_back(
@@ -134,8 +133,8 @@ inline std::vector<BitIdentityFingerprint> bit_identity_fingerprints() {
         {"sharded_marginal",
          fingerprint_doubles(psi.marginal_probabilities({0, 3, 5, 9}))});
   }
-  {  // Sharded backend, fused plan with native diagonal execution.
-    ShardedStatevectorBackend backend(10, 3);
+  {  // Statevector backend sweeping in 3 shards, fused plan.
+    StatevectorBackend backend(10, 3);
     backend.prepare_basis_state(3);
     backend.apply_plan(compile_circuit(c10, CompilerOptions{}));
     out.push_back(

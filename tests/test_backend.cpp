@@ -47,8 +47,8 @@ double max_amp_diff(const Statevector& a, const Statevector& b) {
 
 TEST(SimulatorBackend, FactoryBuildsStatevector) {
   // This test pins the factory's *default* mapping, so neutralize (and
-  // afterwards restore) the CI override that forces every factory call onto
-  // the sharded engine.
+  // afterwards restore) the CI overrides that force every factory call onto
+  // another engine or shard count.
   const testing::ScopedSimulatorEnv restore_after;
   testing::ScopedSimulatorEnv::clear();
   const auto backend = make_simulator(SimulatorKind::kStatevector, 3);
@@ -222,7 +222,7 @@ TEST(SimulatorBackend, MalformedEnvOverridesNameTheVariable) {
     if (*bad == '\0') continue;  // empty means "unset" by contract
     setenv("QTDA_SHARDS", bad, 1);
     try {
-      make_simulator(SimulatorKind::kShardedStatevector, 3);
+      make_simulator(SimulatorKind::kStatevector, 3);
       FAIL() << "expected QTDA_SHARDS=" << bad << " to throw";
     } catch (const Error& e) {
       EXPECT_NE(std::string(e.what()).find("QTDA_SHARDS"), std::string::npos)

@@ -1,9 +1,10 @@
-// Backend-contract conformance suite: every SimulatorKind must satisfy the
-// same observable semantics through the SimulatorBackend interface — basis
-// state preparation, named/dense/operator gate application, marginal and
-// sampling invariants, and the channel semantics its exact_channels() flag
-// advertises.  New engines get conformance coverage by appearing in the
-// INSTANTIATE list; nothing else in this file names a concrete engine.
+// Backend-contract conformance suite: every engine configuration must
+// satisfy the same observable semantics through the SimulatorBackend
+// interface — basis state preparation, named/dense/operator gate
+// application, marginal and sampling invariants, and the channel semantics
+// its exact_channels() flag advertises.  New engines get conformance
+// coverage by appearing in the INSTANTIATE list; nothing else in this file
+// names a concrete engine.
 #include "quantum/backend.hpp"
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <string>
 
 #include "common/random.hpp"
+#include "engine_params.hpp"
 #include "linalg/matrix_exp.hpp"
 #include "quantum/density_matrix.hpp"
 #include "quantum/noise.hpp"
@@ -44,7 +46,9 @@ Circuit named_gate_circuit() {
   return c;
 }
 
-class BackendContract : public ::testing::TestWithParam<SimulatorKind> {
+using testing::EngineUnderTest;
+
+class BackendContract : public ::testing::TestWithParam<EngineUnderTest> {
  protected:
   // The member guard saves the incoming QTDA_SIMULATOR/QTDA_SHARDS values
   // before the body clears them: this suite pins *which* engine it builds,
@@ -52,7 +56,8 @@ class BackendContract : public ::testing::TestWithParam<SimulatorKind> {
   BackendContract() { testing::ScopedSimulatorEnv::clear(); }
 
   std::unique_ptr<SimulatorBackend> make(std::size_t num_qubits) const {
-    return make_simulator(GetParam(), num_qubits, /*shards=*/2);
+    return make_simulator(testing::engine_kind(GetParam()), num_qubits,
+                          testing::engine_shards(GetParam()));
   }
 
   // The float32 CI leg routes this whole suite through the narrow engines
@@ -70,9 +75,11 @@ class BackendContract : public ::testing::TestWithParam<SimulatorKind> {
 
 TEST_P(BackendContract, FactoryNameRoundTrip) {
   const auto backend = make(3);
-  EXPECT_EQ(backend->name(), simulator_kind_name(GetParam()));
+  EXPECT_EQ(backend->name(),
+            simulator_kind_name(testing::engine_kind(GetParam())));
   EXPECT_EQ(backend->num_qubits(), 3u);
-  EXPECT_EQ(simulator_kind_from_name(backend->name()), GetParam());
+  EXPECT_EQ(simulator_kind_from_name(backend->name()),
+            testing::engine_kind(GetParam()));
   EXPECT_NE(simulator_kind_names().find(backend->name()), std::string::npos);
 }
 
@@ -232,15 +239,7 @@ TEST_P(BackendContract, NoisyCircuitMatchesChannelSemantics) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllKinds, BackendContract,
-    ::testing::Values(SimulatorKind::kStatevector,
-                      SimulatorKind::kShardedStatevector,
-                      SimulatorKind::kDensityMatrix),
-    [](const ::testing::TestParamInfo<SimulatorKind>& param) {
-      std::string name = simulator_kind_name(param.param);
-      for (char& ch : name)
-        if (ch == '-') ch = '_';
-      return name;
-    });
+    ::testing::ValuesIn(testing::kAllEngines), testing::engine_param_name);
 
 }  // namespace
 }  // namespace qtda

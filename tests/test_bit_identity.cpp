@@ -66,9 +66,10 @@ TEST(BitIdentity, ScalarDoubleResultsMatchHistoricalFingerprints) {
 }
 
 // The dense/sharded/unfused coincidences (three fingerprints sharing one
-// value) are part of the contract: the unfused plan and the sharded engine
-// replay exactly the dense gate-by-gate arithmetic.  Assert the coincidence
-// itself at every SIMD level — it must hold for the vector kernels too.
+// value) are part of the contract: the unfused plan and the sweeps split
+// into shards replay exactly the serial gate-by-gate arithmetic.  Assert the
+// coincidence itself at every SIMD level — it must hold for the vector
+// kernels too.
 TEST(BitIdentity, EnginesAgreeByteForByteAtEverySimdLevel) {
   const std::vector<BitIdentityFingerprint> actual =
       bit_identity_fingerprints();

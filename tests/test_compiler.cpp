@@ -13,12 +13,16 @@
 #include "common/error.hpp"
 #include "common/random.hpp"
 #include "core/betti_estimator.hpp"
+#include "engine_params.hpp"
+#include "linalg/expm_multiply.hpp"
 #include "linalg/matrix_exp.hpp"
 #include "quantum/backend.hpp"
 #include "quantum/compiler.hpp"
 #include "quantum/noise.hpp"
+#include "quantum/qpe.hpp"
 #include "quantum/statevector.hpp"
 #include "scoped_env.hpp"
+#include "takens_fixture.hpp"
 #include "topology/laplacian.hpp"
 #include "topology/random_complex.hpp"
 
@@ -72,31 +76,25 @@ Circuit random_circuit(std::size_t num_qubits, std::size_t num_gates,
 }
 
 std::vector<Amplitude> backend_amplitudes(const SimulatorBackend& backend) {
-  if (const auto* sv = dynamic_cast<const StatevectorBackend*>(&backend))
-    return sv->state().amplitudes();
-  const auto* sh = dynamic_cast<const ShardedStatevectorBackend*>(&backend);
-  return sh->state().amplitudes();
+  return dynamic_cast<const StatevectorBackend&>(backend).state().amplitudes();
 }
+
+using qtda::testing::EngineUnderTest;
 
 /// Direct backend construction (not make_simulator): these tests pin the
 /// per-engine behavior, so a QTDA_SIMULATOR override must not redirect them.
-std::unique_ptr<SimulatorBackend> build_backend(SimulatorKind kind,
+std::unique_ptr<SimulatorBackend> build_backend(EngineUnderTest engine,
                                                 std::size_t num_qubits) {
-  switch (kind) {
-    case SimulatorKind::kStatevector:
-      return std::make_unique<StatevectorBackend>(num_qubits);
-    case SimulatorKind::kShardedStatevector:
-      return std::make_unique<ShardedStatevectorBackend>(num_qubits, 3);
-    case SimulatorKind::kDensityMatrix:
-      return std::make_unique<DensityMatrixBackend>(num_qubits);
-  }
-  return nullptr;
+  if (engine == EngineUnderTest::kDensityMatrix)
+    return std::make_unique<DensityMatrixBackend>(num_qubits);
+  return std::make_unique<StatevectorBackend>(
+      num_qubits, qtda::testing::engine_shards(engine));
 }
 
-class FusionEquivalence : public ::testing::TestWithParam<SimulatorKind> {};
+class FusionEquivalence : public ::testing::TestWithParam<EngineUnderTest> {};
 
 TEST_P(FusionEquivalence, RandomCircuitsAgreeTo1e12) {
-  const SimulatorKind kind = GetParam();
+  const EngineUnderTest kind = GetParam();
   constexpr std::size_t kQubits = 5;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     Rng rng(seed);
@@ -114,7 +112,7 @@ TEST_P(FusionEquivalence, RandomCircuitsAgreeTo1e12) {
     compiled->prepare_basis_state(1);
     compiled->apply_plan(plan);
 
-    if (kind == SimulatorKind::kDensityMatrix) {
+    if (kind == EngineUnderTest::kDensityMatrix) {
       // Amplitudes are not addressable through ρ; compare the full joint
       // distribution plus purity instead.
       std::vector<std::size_t> all(kQubits);
@@ -137,8 +135,8 @@ TEST_P(FusionEquivalence, RandomCircuitsAgreeTo1e12) {
 }
 
 TEST_P(FusionEquivalence, UnfusedPlanIsBitIdentical) {
-  const SimulatorKind kind = GetParam();
-  if (kind == SimulatorKind::kDensityMatrix) GTEST_SKIP()
+  const EngineUnderTest kind = GetParam();
+  if (kind == EngineUnderTest::kDensityMatrix) GTEST_SKIP()
       << "amplitudes not addressable through the density matrix";
   constexpr std::size_t kQubits = 5;
   Rng rng(77);
@@ -165,16 +163,8 @@ TEST_P(FusionEquivalence, UnfusedPlanIsBitIdentical) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, FusionEquivalence,
-                         ::testing::Values(SimulatorKind::kStatevector,
-                                           SimulatorKind::kShardedStatevector,
-                                           SimulatorKind::kDensityMatrix),
-                         [](const auto& param_info) {
-                           std::string name =
-                               simulator_kind_name(param_info.param);
-                           for (char& c : name)
-                             if (c == '-') c = '_';
-                           return name;
-                         });
+                         ::testing::ValuesIn(qtda::testing::kAllEngines),
+                         qtda::testing::engine_param_name);
 
 TEST(Compiler, NoisePlanKeepsErrorPlacementAndRngOrder) {
   // The draw-sequence guarantee: a plan compiled for noisy execution walks
@@ -215,9 +205,7 @@ TEST(Compiler, BackendNoisyPlanMatchesCircuitWalk) {
   options.preserve_noise_slots = true;
   const ExecutionPlan plan = compile_circuit(circuit, options);
 
-  for (SimulatorKind kind :
-       {SimulatorKind::kStatevector, SimulatorKind::kShardedStatevector,
-        SimulatorKind::kDensityMatrix}) {
+  for (EngineUnderTest kind : qtda::testing::kAllEngines) {
     const auto reference = build_backend(kind, 4);
     const auto compiled = build_backend(kind, 4);
     Rng ref_rng(21);
@@ -229,10 +217,8 @@ TEST(Compiler, BackendNoisyPlanMatchesCircuitWalk) {
     const auto pr = reference->marginal_probabilities({0, 1, 2, 3});
     const auto pc = compiled->marginal_probabilities({0, 1, 2, 3});
     for (std::size_t i = 0; i < pr.size(); ++i)
-      EXPECT_EQ(pr[i], pc[i])
-          << simulator_kind_name(kind) << " outcome " << i;
-    EXPECT_EQ(ref_rng.uniform(), plan_rng.uniform())
-        << simulator_kind_name(kind);
+      EXPECT_EQ(pr[i], pc[i]) << reference->name() << " outcome " << i;
+    EXPECT_EQ(ref_rng.uniform(), plan_rng.uniform()) << reference->name();
   }
 }
 
@@ -294,6 +280,37 @@ TEST(Compiler, ExecutionLeavesPlanMemoryBytesUnchanged) {
     run_noisy_trajectory(noise_slots, noise, rng);
     EXPECT_EQ(noise_slots.memory_bytes(), noise_bytes) << "noisy run " << run;
   }
+}
+
+TEST(Compiler, TakensPlanChargesItsSharedCsrOnce) {
+  // A §5 Takens window's sparse QPE ladder: its t = 3 controlled powers
+  // share one regrouped CSR of H, and the plan charges that CSR exactly
+  // once.  The same ladder with a private copy per power charges exactly
+  // t − 1 more copies.
+  const auto clouds = qtda::testing::takens_windows();
+  const SparseScaledHamiltonian scaled =
+      rescale_laplacian_sparse(pad_laplacian_sparse(
+          qtda::testing::takens_laplacian(clouds, 0, 1),
+          EstimatorOptions{}.padding));
+  const auto shared = std::make_shared<const ComponentCsr>(scaled.matrix);
+  const QpeLayout layout{3, scaled.num_qubits, 0};
+  const auto ladder_bytes = [&](bool share) {
+    const Circuit circuit = build_qpe_circuit_sparse(
+        layout,
+        [&](std::uint64_t power) -> std::shared_ptr<const LinearOperator> {
+          return std::make_shared<SparseExpOperator>(
+              share ? shared
+                    : std::make_shared<const ComponentCsr>(scaled.matrix),
+              static_cast<double>(power), scaled.spectrum_min(),
+              scaled.spectrum_max());
+        });
+    return compile_circuit(circuit, CompilerOptions{}).memory_bytes();
+  };
+  const std::size_t shared_bytes = ladder_bytes(true);
+  const std::size_t private_bytes = ladder_bytes(false);
+  ASSERT_GT(shared->memory_bytes(), sizeof(ComponentCsr));
+  EXPECT_GT(shared_bytes, shared->memory_bytes());
+  EXPECT_EQ(private_bytes - shared_bytes, 2 * shared->memory_bytes());
 }
 
 TEST(Compiler, ControlledPhaseLadderFusesIntoOneDiagonal) {

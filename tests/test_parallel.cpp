@@ -30,7 +30,7 @@ TEST(ThreadPoolRunBatch, VisitsEveryIndexOnceWithBarrier) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> visits(64);
   pool.run_batch(64, [&](std::size_t i) { ++visits[i]; });
-  // run_batch blocks until every slab task finished, so the counts are
+  // run_batch blocks until every task finished, so the counts are
   // final here without wait_idle().
   for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
 }
@@ -47,7 +47,7 @@ TEST(ThreadPoolRunBatch, PropagatesTheFirstException) {
   EXPECT_THROW(
       pool.run_batch(16,
                      [](std::size_t i) {
-                       if (i % 3 == 0) throw Error("slab task failed");
+                       if (i % 3 == 0) throw Error("batch task failed");
                      }),
       Error);
   pool.wait_idle();  // the pool must stay usable after the failure

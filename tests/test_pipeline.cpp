@@ -37,9 +37,9 @@ TEST(Pipeline, CircleFeaturesDetectTheLoop) {
 }
 
 TEST(Pipeline, ShardedSimulatorSelectionFlowsThroughAndMatchesDense) {
-  // Shard-count plumbing: PipelineOptions::estimator carries the engine and
-  // slab count down to the factory, and the sharded run is bit-identical to
-  // the dense one feature for feature.
+  // Shard-count plumbing: PipelineOptions::estimator carries the sweep
+  // chunk count down to the factory, and the sharded run is bit-identical
+  // to the serial one feature for feature.
   PipelineOptions options;
   options.epsilon = 0.7;
   options.dimensions = {0, 1};
@@ -47,7 +47,6 @@ TEST(Pipeline, ShardedSimulatorSelectionFlowsThroughAndMatchesDense) {
   options.estimator.precision_qubits = 4;
   options.estimator.shots = 5000;
   const auto dense = extract_betti_features(circle_cloud(8), options);
-  options.estimator.simulator = SimulatorKind::kShardedStatevector;
   options.estimator.simulator_shards = 3;
   const auto sharded = extract_betti_features(circle_cloud(8), options);
   ASSERT_EQ(sharded.estimated.size(), dense.estimated.size());

@@ -21,6 +21,7 @@
 
 #include "common/error.hpp"
 #include "common/random.hpp"
+#include "engine_params.hpp"
 #include "linalg/dense_matrix.hpp"
 #include "quantum/backend.hpp"
 #include "quantum/qpe.hpp"
@@ -50,16 +51,19 @@ Circuit readout_circuit(const QpeLayout& layout) {
   return circuit;
 }
 
-std::vector<double> readout(SimulatorKind kind, Precision precision,
+using testing::EngineUnderTest;
+
+std::vector<double> readout(EngineUnderTest engine, Precision precision,
                             const QpeLayout& layout, const Circuit& circuit) {
   const std::unique_ptr<SimulatorBackend> backend =
-      make_simulator(kind, layout.total(), 3, precision);
+      make_simulator(testing::engine_kind(engine), layout.total(),
+                     testing::engine_shards(engine), precision);
   EXPECT_EQ(backend->precision(), precision);
   backend->apply_circuit(circuit);
   return backend->marginal_probabilities(layout.precision_wires());
 }
 
-class PrecisionReadout : public ::testing::TestWithParam<SimulatorKind> {};
+class PrecisionReadout : public ::testing::TestWithParam<EngineUnderTest> {};
 
 TEST_P(PrecisionReadout, Complex64ReadoutErrorIsBounded) {
   ScopedSimulatorEnv guard;
@@ -106,25 +110,18 @@ TEST_P(PrecisionReadout, Complex64ReadoutErrorIsBounded) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllBackends, PrecisionReadout,
-    ::testing::Values(SimulatorKind::kStatevector,
-                      SimulatorKind::kShardedStatevector,
-                      SimulatorKind::kDensityMatrix),
-    [](const ::testing::TestParamInfo<SimulatorKind>& param_info) {
-      std::string name = simulator_kind_name(param_info.param);
-      for (char& ch : name)
-        if (ch == '-') ch = '_';
-      return name;
-    });
+    ::testing::ValuesIn(testing::kAllEngines), testing::engine_param_name);
 
 TEST(PrecisionDispatch, FactoryHonorsTheRequestedPrecision) {
   ScopedSimulatorEnv guard;
   ScopedSimulatorEnv::clear();
   unsetenv("QTDA_PRECISION");
-  for (SimulatorKind kind :
-       {SimulatorKind::kStatevector, SimulatorKind::kShardedStatevector,
-        SimulatorKind::kDensityMatrix}) {
-    EXPECT_EQ(make_simulator(kind, 4)->precision(), Precision::kFloat64);
-    EXPECT_EQ(make_simulator(kind, 4, 0, Precision::kFloat32)->precision(),
+  for (EngineUnderTest engine : testing::kAllEngines) {
+    const SimulatorKind kind = testing::engine_kind(engine);
+    const std::size_t shards = testing::engine_shards(engine);
+    EXPECT_EQ(make_simulator(kind, 4, shards)->precision(),
+              Precision::kFloat64);
+    EXPECT_EQ(make_simulator(kind, 4, shards, Precision::kFloat32)->precision(),
               Precision::kFloat32);
   }
 }
@@ -170,11 +167,10 @@ TEST(PrecisionDispatch, Float32EnginesKeepTheBackendInvariants) {
   ScopedSimulatorEnv guard;
   ScopedSimulatorEnv::clear();
   unsetenv("QTDA_PRECISION");
-  for (SimulatorKind kind :
-       {SimulatorKind::kStatevector, SimulatorKind::kShardedStatevector,
-        SimulatorKind::kDensityMatrix}) {
+  for (EngineUnderTest engine : testing::kAllEngines) {
     const std::unique_ptr<SimulatorBackend> backend =
-        make_simulator(kind, 3, 2, Precision::kFloat32);
+        make_simulator(testing::engine_kind(engine), 3,
+                       testing::engine_shards(engine), Precision::kFloat32);
     Circuit circuit(3);
     circuit.h(0);
     circuit.cnot(0, 1);

@@ -394,6 +394,21 @@ TEST(ServeProtocol, NonFiniteDeltaIsAProtocolError) {
       "estimate id=d2 eps=1.5 delta=-inf points=0,0;1,1");
 }
 
+TEST(ServeProtocol, UnknownSimulatorIsAProtocolErrorListingValidNames) {
+  // Shards are a count on the statevector engine (shards=), not an engine
+  // of their own: the retired sharded-statevector name is refused.
+  const std::string line =
+      "estimate id=s1 eps=1.5 simulator=sharded-statevector points=0,0;1,1";
+  expect_served_protocol_error(line);
+  try {
+    parse_request(line);
+  } catch (const Error& error) {
+    EXPECT_NE(std::string(error.what()).find("statevector, density-matrix"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(ServeProtocol, NonFiniteCoordinateIsAProtocolError) {
   expect_served_protocol_error("estimate id=p1 eps=1.5 points=0,nan;1,1");
   expect_served_protocol_error("estimate id=p2 eps=1.5 points=0,0;inf,1");
@@ -433,6 +448,31 @@ TEST(ServeBitIdentity, ServedEstimateMatchesCliPathColdAndWarm) {
   EXPECT_TRUE(warm.laplacian_hit);
   EXPECT_EQ(warm.estimate.zero_counts, cli.zero_counts);
   EXPECT_EQ(warm.estimate.estimated_betti, cli.estimated_betti);
+}
+
+TEST(ServeBitIdentity, ShardCountNeverChangesServedBytes) {
+  // One server per shard count, so each request evolves its own plan
+  // (a shared server would answer the second from the first one's memo).
+  ScopedSimulatorEnv env;
+  ScopedSimulatorEnv::clear();
+  const auto served = [](std::size_t shards) {
+    BettiServer server;
+    EstimateRequest request;
+    request.id = "s";
+    request.points = circle_points(8);
+    request.epsilon = 1.0;
+    request.k = 1;
+    request.options = sparse_options();
+    request.options.shots = 20000;
+    request.options.simulator_shards = shards;
+    const EstimateResponse response = server.handle(request);
+    EXPECT_TRUE(response.ok) << response.error;
+    return response;
+  };
+  const EstimateResponse serial = served(1);
+  const EstimateResponse sharded = served(3);
+  EXPECT_GE(serial.estimate.total_qubits, 9u);  // sweeps reach the pool
+  EXPECT_EQ(format_response(sharded), format_response(serial));
 }
 
 TEST(ServeBitIdentity, EmptyComplexShortCircuitsLikeEstimateBetti) {
@@ -543,8 +583,8 @@ TEST(ServeMemo, MemoHitsAreBitIdenticalToTheColdPath) {
     std::size_t shards;
   };
   const Engine engines[] = {{SimulatorKind::kStatevector, 0},
-                            {SimulatorKind::kShardedStatevector, 1},
-                            {SimulatorKind::kShardedStatevector, 3},
+                            {SimulatorKind::kStatevector, 1},
+                            {SimulatorKind::kStatevector, 3},
                             {SimulatorKind::kDensityMatrix, 0}};
   for (const Engine& engine : engines) {
     for (const Precision precision :

@@ -1,22 +1,27 @@
-// The sharded engine's contract: ShardedStatevector and
-// ShardedStatevectorBackend must be *bit-identical* to the dense engine —
-// same amplitudes after randomized circuits, same marginals, same samples —
-// for every shard count, including counts that do not divide the dimension.
-#include "quantum/sharded_statevector.hpp"
+// The shard contract of the statevector engine: a Statevector whose gate
+// sweeps are split into shards (contiguous anchor chunks on the shared pool)
+// must be *bit-identical* to the serial sweeps — same amplitudes after
+// randomized circuits and plans, same marginals, same samples — for every
+// shard count, including counts that do not divide the anchor count and
+// counts above the pool size.
+#include "quantum/statevector.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
+#include <tuple>
 
+#include "common/parallel.hpp"
 #include "common/random.hpp"
 #include "scoped_env.hpp"
 #include "core/betti_estimator.hpp"
 #include "linalg/expm_multiply.hpp"
 #include "linalg/matrix_exp.hpp"
 #include "quantum/backend.hpp"
-#include "quantum/statevector.hpp"
+#include "quantum/compiler.hpp"
 #include "topology/laplacian.hpp"
 #include "topology/random_complex.hpp"
 
@@ -143,7 +148,7 @@ TEST_P(ShardedEquivalence, RandomCircuitIsBitIdenticalForEveryShardCount) {
   dense.apply_circuit(circuit);
 
   for (std::size_t shards : kShardCounts) {
-    ShardedStatevector sharded(q, shards);
+    Statevector sharded(q, shards);
     sharded.set_amplitudes(initial);
     sharded.apply_circuit(circuit);
     EXPECT_EQ(count_mismatches(sharded.amplitudes(), dense.amplitudes()), 0u)
@@ -168,23 +173,112 @@ TEST_P(ShardedEquivalence, RandomCircuitIsBitIdenticalForEveryShardCount) {
 INSTANTIATE_TEST_SUITE_P(Widths, ShardedEquivalence,
                          ::testing::Values(2, 3, 4, 5, 6, 7, 8, 9, 10));
 
-TEST(ShardedStatevector, LayoutClampsAndPartitionsBalanced) {
-  ShardedStatevector state(3, 3);  // dim 8 over 3 slabs: 2/3/3 split
-  EXPECT_EQ(state.num_shards(), 3u);
-  EXPECT_EQ(state.slab_begin(0), 0u);
-  EXPECT_EQ(state.slab_begin(3), 8u);
-  for (std::size_t s = 0; s < 3; ++s)
-    EXPECT_LT(state.slab_begin(s), state.slab_begin(s + 1));
-  EXPECT_EQ(state.amplitude(0), (Amplitude{1.0, 0.0}));
+/// Every sweep kind on one state, serial and in \p shards chunks: a top-wire
+/// and a bottom-wire gate, controls above and below the target, dense
+/// blocks over two and three wires, strided and contiguous operator gates,
+/// a compiled plan with fused two-qubit blocks and a fused diagonal, and a
+/// global phase.  Returns whether the two states end byte-identical.
+template <typename Real>
+bool chunking_keeps_bytes(std::size_t q, std::size_t shards) {
+  Rng rng(4000 + q);
+  std::vector<std::complex<Real>> initial(std::size_t{1} << q);
+  for (auto& a : initial)
+    a = {static_cast<Real>(rng.uniform() - 0.5),
+         static_cast<Real>(rng.uniform() - 0.5)};
+  const ComplexMatrix u2 = random_unitary(1, rng);
+  const ComplexMatrix u4 = random_unitary(2, rng);
+  const ComplexMatrix u8 = random_unitary(3, rng);
+  const auto strided = std::make_shared<DenseOperator>(random_unitary(2, rng));
+  std::vector<Triplet> triplets;
+  for (std::size_t i = 0; i < 8; ++i) {
+    triplets.push_back({i, i, rng.uniform(0.0, 2.0)});
+    if (i + 1 < 8) {
+      const double v = rng.uniform(-1.0, 1.0);
+      triplets.push_back({i, i + 1, v});
+      triplets.push_back({i + 1, i, v});
+    }
+  }
+  const SparseExpOperator trailing(
+      SparseMatrix::from_triplets(8, 8, std::move(triplets)), 1.0, -4.0, 6.0);
 
-  // More shards than amplitudes clamps to one amplitude per slab.
-  ShardedStatevector tiny(1, 64);
-  EXPECT_EQ(tiny.num_shards(), 2u);
-  EXPECT_THROW(ShardedStatevector(3, 0), Error);
+  Circuit fused_source(q);
+  for (std::size_t w = 0; w + 1 < q; ++w) {
+    fused_source.h(w);
+    fused_source.unitary(u4, {w, w + 1});
+    fused_source.rz(w + 1, 0.3 * static_cast<double>(w + 1));
+  }
+  fused_source.unitary(u4, {q - 1, 0});
+  for (std::size_t w = 1; w < q; ++w)
+    fused_source.controlled_phase(0, w, 0.2 * static_cast<double>(w));
+  CompilerOptions pairs;
+  pairs.fuse_width = 2;
+  const ExecutionPlan plan = compile_circuit(fused_source, pairs);
+  bool has_pair_block = false, has_diagonal = false;
+  for (const CompiledOp& op : plan.ops()) {
+    has_pair_block |= op.kind == CompiledOp::Kind::kBlock &&
+                      op.offsets.size() == 4 && op.cmask == 0;
+    has_diagonal |= op.kind == CompiledOp::Kind::kDiagonal;
+  }
+  EXPECT_TRUE(has_pair_block && has_diagonal);
+
+  const auto evolve = [&](BasicStatevector<Real>& state) {
+    state.set_amplitudes(initial);
+    state.apply_single_qubit(u2, 0);
+    state.apply_single_qubit(u2, q - 1);
+    state.apply_single_qubit(u2, q - 1, {0});
+    state.apply_single_qubit(u2, 1, {q - 1});
+    state.apply_unitary(u4, {q - 1, 0});
+    state.apply_unitary(u8, {0, q - 1, 2}, {1});
+    state.apply_operator(*strided, {q - 1, 1});
+    state.apply_operator(trailing, {q - 3, q - 2, q - 1}, {0});
+    state.apply_plan(plan);
+    state.apply_global_phase(0.4);
+  };
+  BasicStatevector<Real> serial(q);
+  BasicStatevector<Real> chunked(q, shards);
+  EXPECT_EQ(chunked.chunks(), shards);
+  evolve(serial);
+  evolve(chunked);
+  return std::memcmp(serial.amplitudes().data(), chunked.amplitudes().data(),
+                     serial.amplitudes().size() *
+                         sizeof(std::complex<Real>)) == 0;
+}
+
+class ShardCountBytes
+    : public ::testing::TestWithParam<std::tuple<std::size_t, Precision>> {};
+
+TEST_P(ShardCountBytes, EverySweepKindMatchesSerialBytes) {
+  const auto [shards, precision] = GetParam();
+  // 2^5 amplitudes run the chunks on the calling thread, 2^11 on the pool.
+  for (std::size_t q : {5, 11}) {
+    EXPECT_TRUE(precision == Precision::kFloat64
+                    ? chunking_keeps_bytes<double>(q, shards)
+                    : chunking_keeps_bytes<float>(q, shards))
+        << "q=" << q << " shards=" << shards;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Counts, ShardCountBytes,
+    ::testing::Combine(::testing::Values(1, 2, 3, 5, 8),
+                       ::testing::Values(Precision::kFloat64,
+                                         Precision::kFloat32)),
+    [](const auto& param_info) {
+      return "shards" + std::to_string(std::get<0>(param_info.param)) + "_" +
+             precision_name(std::get<1>(param_info.param));
+    });
+
+TEST(ShardCounts, MoreShardsThanPoolWorkersOrAnchors) {
+  // Chunks queue on the pool past its size; past the anchor count they
+  // clamp to one anchor each.  Neither changes a byte.
+  const std::size_t past_pool = 2 * ThreadPool::shared().size() + 1;
+  EXPECT_TRUE(chunking_keeps_bytes<double>(11, past_pool));
+  EXPECT_TRUE(chunking_keeps_bytes<double>(11, 5000));
+  EXPECT_TRUE(chunking_keeps_bytes<float>(5, 5000));
 }
 
 TEST(ShardedStatevector, BasisStatePreparationAndGlobalPhase) {
-  ShardedStatevector state(4, 3);
+  Statevector state(4, 3);
   state.set_basis_state(11);
   EXPECT_EQ(state.amplitude(11), (Amplitude{1.0, 0.0}));
   EXPECT_EQ(state.amplitude(0), (Amplitude{0.0, 0.0}));
@@ -197,9 +291,9 @@ TEST(ShardedStatevector, BasisStatePreparationAndGlobalPhase) {
 }
 
 TEST(ShardedStatevector, MarginalValidatesAllQubitsBeforeBuildingMasks) {
-  // An out-of-range wire anywhere in the list must throw — on both engines —
-  // before any mask shift is computed (the shift itself would be UB).
-  ShardedStatevector sharded(3, 2);
+  // An out-of-range wire anywhere in the list must throw — at every shard
+  // count — before any mask shift is computed (the shift itself would be UB).
+  Statevector sharded(3, 2);
   Statevector dense(3);
   EXPECT_THROW(sharded.marginal_probabilities({0, 99}), Error);
   EXPECT_THROW(dense.marginal_probabilities({0, 99}), Error);
@@ -210,7 +304,7 @@ TEST(ShardedStatevector, MarginalValidatesAllQubitsBeforeBuildingMasks) {
 TEST(ShardedStatevector, SamplingIsDeterministicForFixedSeed) {
   Rng rng(42);
   const Circuit circuit = random_circuit(6, rng);
-  ShardedStatevector a(6, 3), b(6, 3);
+  Statevector a(6, 3), b(6, 3);
   a.apply_circuit(circuit);
   b.apply_circuit(circuit);
   Rng rng_a(123), rng_b(123);
@@ -218,43 +312,67 @@ TEST(ShardedStatevector, SamplingIsDeterministicForFixedSeed) {
             b.sample_counts({0, 1, 2}, 5000, rng_b));
 }
 
+/// Sweep chunk count of a factory-built statevector backend (either
+/// precision: the float32 leg forces complex64 engines).
+std::size_t backend_chunks(const SimulatorBackend& backend) {
+  if (const auto* f64 = dynamic_cast<const StatevectorBackend*>(&backend))
+    return f64->state().chunks();
+  return dynamic_cast<const StatevectorBackendF32&>(backend).state().chunks();
+}
+
 TEST(ShardedBackend, FactoryNameAndParserRoundTrip) {
-  const auto backend =
-      make_simulator(SimulatorKind::kShardedStatevector, 3, 2);
-  EXPECT_EQ(backend->name(), "sharded-statevector");
+  const testing::ScopedSimulatorEnv restore_after;
+  testing::ScopedSimulatorEnv::clear();
+  const auto backend = make_simulator(SimulatorKind::kStatevector, 3, 2);
+  EXPECT_EQ(backend->name(), "statevector");
   EXPECT_EQ(backend->num_qubits(), 3u);
-  EXPECT_EQ(simulator_kind_name(SimulatorKind::kShardedStatevector),
-            "sharded-statevector");
-  for (SimulatorKind kind : {SimulatorKind::kStatevector,
-                             SimulatorKind::kShardedStatevector}) {
+  EXPECT_EQ(backend_chunks(*backend), 2u);
+  for (SimulatorKind kind :
+       {SimulatorKind::kStatevector, SimulatorKind::kDensityMatrix}) {
     EXPECT_EQ(simulator_kind_from_name(simulator_kind_name(kind)), kind);
   }
-  try {
-    simulator_kind_from_name("qpu");
-    FAIL() << "expected an Error for an unknown simulator name";
-  } catch (const Error& error) {
-    const std::string message = error.what();
-    EXPECT_NE(message.find("statevector"), std::string::npos);
-    EXPECT_NE(message.find("sharded-statevector"), std::string::npos);
+  // Shards are a count on the statevector engine, not an engine of their
+  // own: the old engine name is unknown and the error lists the valid ones.
+  for (const char* name : {"qpu", "sharded-statevector"}) {
+    try {
+      simulator_kind_from_name(name);
+      FAIL() << "expected an Error for the simulator name " << name;
+    } catch (const Error& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find("statevector, density-matrix"),
+                std::string::npos)
+          << message;
+    }
   }
 }
 
 TEST(ShardedBackend, EnvironmentOverrideForcesEngine) {
   const testing::ScopedSimulatorEnv restore_after;
-  ASSERT_EQ(setenv("QTDA_SIMULATOR", "sharded-statevector", 1), 0);
+  testing::ScopedSimulatorEnv::clear();
   ASSERT_EQ(setenv("QTDA_SHARDS", "2", 1), 0);
   const auto forced = make_simulator(SimulatorKind::kStatevector, 3);
-  EXPECT_EQ(forced->name(), "sharded-statevector");
+  EXPECT_EQ(forced->name(), "statevector");
+  EXPECT_EQ(backend_chunks(*forced), 2u);
   testing::ScopedSimulatorEnv::clear();
   const auto unforced = make_simulator(SimulatorKind::kStatevector, 3);
-  EXPECT_EQ(unforced->name(), "statevector");
+  EXPECT_EQ(backend_chunks(*unforced), 1u);
+  ASSERT_EQ(setenv("QTDA_SIMULATOR", "sharded-statevector", 1), 0);
+  try {
+    make_simulator(SimulatorKind::kStatevector, 3);
+    FAIL() << "expected QTDA_SIMULATOR=sharded-statevector to throw";
+  } catch (const Error& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("QTDA_SIMULATOR"), std::string::npos) << message;
+    EXPECT_NE(message.find("statevector, density-matrix"), std::string::npos)
+        << message;
+  }
 }
 
 TEST(ShardedBackend, DepolarizingMatchesDenseBackendDrawForDraw) {
   Rng circuit_rng(5);
   const Circuit circuit = random_circuit(5, circuit_rng);
   StatevectorBackend dense(5);
-  ShardedStatevectorBackend sharded(5, 3);
+  StatevectorBackend sharded(5, 3);
   dense.apply_circuit(circuit);
   sharded.apply_circuit(circuit);
   Rng rng_a(9), rng_b(9);
@@ -294,7 +412,6 @@ TEST(ShardedBackend, SparseBettiEstimateIsBitIdenticalToDenseEngine) {
         estimate_betti_from_sparse_laplacian(laplacian, dense_options);
     for (std::size_t shards : kShardCounts) {
       EstimatorOptions sharded_options = dense_options;
-      sharded_options.simulator = SimulatorKind::kShardedStatevector;
       sharded_options.simulator_shards = shards;
       const BettiEstimate estimate =
           estimate_betti_from_sparse_laplacian(laplacian, sharded_options);
@@ -317,7 +434,6 @@ TEST(ShardedBackend, NoisyTrajectoryEstimateMatchesDenseEngine) {
   options.noise.single_qubit_error = 0.02;
   options.noise.two_qubit_error = 0.05;
   const BettiEstimate reference = estimate_betti(complex, 1, options);
-  options.simulator = SimulatorKind::kShardedStatevector;
   options.simulator_shards = 3;
   const BettiEstimate estimate = estimate_betti(complex, 1, options);
   EXPECT_EQ(estimate.zero_counts, reference.zero_counts);

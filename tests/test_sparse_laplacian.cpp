@@ -3,13 +3,18 @@
 // random complexes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "common/random.hpp"
 #include "core/padding.hpp"
 #include "core/scaling.hpp"
 #include "linalg/gershgorin.hpp"
+#include "linalg/sparse_matrix.hpp"
 #include "linalg/symmetric_eigen.hpp"
+#include "topology/betti.hpp"
 #include "topology/laplacian.hpp"
 #include "topology/random_complex.hpp"
 
@@ -155,6 +160,91 @@ TEST(SparseComplexMatvec, MatchesRealPartsSeparately) {
     EXPECT_NEAR(y[i].real(), yre[i], 1e-12);
     EXPECT_NEAR(y[i].imag(), yim[i], 1e-12);
   }
+}
+
+// The one union-find (linalg's ComponentUnion) and the sparsity components
+// built on it.  β0 is the component count of Δ0's sparsity graph — the same
+// split the eigensolver and the Chebyshev oracle run on — and must match
+// the homological definition.
+
+/// Sparsity pattern of an undirected graph on \p n vertices.
+SparseMatrix graph_matrix(std::size_t n,
+                          const std::vector<std::pair<std::size_t,
+                                                      std::size_t>>& edges) {
+  std::vector<Triplet> triplets;
+  for (const auto& [a, b] : edges) {
+    triplets.push_back({a, b, 1.0});
+    triplets.push_back({b, a, 1.0});
+  }
+  return SparseMatrix::from_triplets(n, n, std::move(triplets));
+}
+
+std::size_t betti0_from_laplacian(const SimplicialComplex& complex) {
+  return sparsity_components(sparse_combinatorial_laplacian(complex, 0))
+      .components();
+}
+
+TEST(UnionFind, StartsFullySeparated) {
+  ComponentUnion forest(5);
+  const ConnectedComponents sets = forest.components();
+  EXPECT_EQ(sets.components(), 5u);
+  for (std::size_t i = 0; i < 5; ++i) EXPECT_EQ(sets.component_of[i], i);
+}
+
+TEST(UnionFind, UniteMergesAndCounts) {
+  ComponentUnion forest(4);
+  EXPECT_TRUE(forest.unite(0, 1));
+  EXPECT_FALSE(forest.unite(1, 0));  // already merged
+  EXPECT_EQ(forest.components().components(), 3u);
+  EXPECT_TRUE(forest.unite(2, 3));
+  EXPECT_TRUE(forest.unite(0, 3));
+  const ConnectedComponents sets = forest.components();
+  EXPECT_EQ(sets.components(), 1u);
+  EXPECT_EQ(sets.component_of[0], sets.component_of[2]);
+}
+
+TEST(ConnectedComponents, PathAndIsland) {
+  // 0–1–2, with 3 and 4 isolated.
+  EXPECT_EQ(sparsity_components(graph_matrix(5, {{0, 1}, {1, 2}}))
+                .components(),
+            3u);
+}
+
+TEST(ComponentLabels, ConsistentPartition) {
+  const ConnectedComponents sets =
+      sparsity_components(graph_matrix(6, {{0, 2}, {2, 4}, {1, 3}}));
+  const std::vector<std::size_t>& labels = sets.component_of;
+  ASSERT_EQ(labels.size(), 6u);
+  EXPECT_EQ(labels[0], labels[2]);
+  EXPECT_EQ(labels[2], labels[4]);
+  EXPECT_EQ(labels[1], labels[3]);
+  EXPECT_NE(labels[0], labels[1]);
+  EXPECT_NE(labels[5], labels[0]);
+  EXPECT_NE(labels[5], labels[1]);
+  const auto max_label = *std::max_element(labels.begin(), labels.end());
+  EXPECT_EQ(max_label, 2u);  // labels are dense in [0, #components)
+}
+
+class Betti0FastCrossCheck : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+TEST_P(Betti0FastCrossCheck, MatchesHomologicalBetti0) {
+  Rng rng(GetParam() * 3 + 7);
+  RandomComplexOptions options;
+  options.num_vertices = 12;
+  options.max_dimension = 2;
+  const auto complex = random_flag_complex(options, rng);
+  EXPECT_EQ(betti0_from_laplacian(complex), betti_number(complex, 0));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, Betti0FastCrossCheck,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10));
+
+TEST(Betti0Fast, SparseVertexIds) {
+  // Vertex ids need not be contiguous.
+  const auto complex = SimplicialComplex::from_simplices(
+      {Simplex{10, 20}, Simplex{30}}, true);
+  EXPECT_EQ(betti0_from_laplacian(complex), 2u);
 }
 
 }  // namespace
